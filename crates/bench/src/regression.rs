@@ -29,8 +29,8 @@ use valmod_obs::SharedRecorder;
 pub struct BenchEntry {
     /// Stable identifier, e.g. `stomp/n16384/l256`.
     pub name: String,
-    /// Entry family: `stomp`, `compute_mp`, `valmod`, `streaming`,
-    /// `cluster`, `planner`, `append`, or `serve_mixed`.
+    /// Entry family: `stomp`, `compute_mp`, `harvest`, `valmod`,
+    /// `streaming`, `cluster`, `planner`, `append`, or `serve_mixed`.
     pub kind: &'static str,
     /// Series size in points.
     pub n: usize,
@@ -216,6 +216,42 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
             iters,
             baseline_ms: Some(row_ms),
             current_ms: fused_ms,
+        });
+    }
+
+    // --- Harvest cost: the bare diagonal kernel (baseline) vs the fused
+    // Eq. 2 harvest over the same traversal, timed in the same run. The
+    // "speedup" is the kernel's share of the harvest: 1/speedup is the
+    // harvest's cost in kernels (ideal: close to 1). ---
+    {
+        let ps = ProfiledSeries::from_values(&random_walk(hn, SEED)).unwrap();
+        let iters = iters_for(hn);
+        let mut sink = 0.0f64;
+        let mut kws = Workspace::new();
+        let kernel_ms = median_ms(iters, || {
+            let p = stomp_diagonal_ws(&ps, hl, ExclusionPolicy::HALF, &mut kws).unwrap();
+            sink += std::hint::black_box(p.mp[0]);
+        });
+        let harvest_ms = median_ms(iters, || {
+            let h = valmod_core::compute_matrix_profile_ws(
+                &ps,
+                hl,
+                hp,
+                ExclusionPolicy::HALF,
+                &mut kws,
+            )
+            .unwrap();
+            sink += std::hint::black_box(h.profile.mp[0]);
+        });
+        std::hint::black_box(sink);
+        entries.push(BenchEntry {
+            name: format!("harvest/n{hn}/l{hl}/p{hp}"),
+            kind: "harvest",
+            n: hn,
+            l: hl,
+            iters,
+            baseline_ms: Some(kernel_ms),
+            current_ms: harvest_ms,
         });
     }
 
@@ -584,6 +620,7 @@ mod tests {
         let kinds: Vec<&str> = report.entries.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&"stomp"));
         assert!(kinds.contains(&"compute_mp"));
+        assert!(kinds.contains(&"harvest"));
         assert!(kinds.contains(&"valmod"));
         assert!(kinds.contains(&"streaming"));
         assert!(kinds.contains(&"cluster"));

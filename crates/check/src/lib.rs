@@ -13,7 +13,9 @@
 //!   motifs, series barely longer than `ℓ_max`), each a pure function of
 //!   `(seed, id)`;
 //! * [`oracles`] — the diagonal-blocked kernel vs the row streamer
-//!   (bit-exact, across block widths), VALMOD vs STOMP-per-length, parallel
+//!   (bit-exact, across block widths), the fused LB harvest vs the
+//!   row-streamed harvest (bit-exact on every retained entry), VALMOD vs
+//!   STOMP-per-length, parallel
 //!   vs sequential, streaming-append vs batch recompute, serve cached vs
 //!   cold, and the Eq. 2 lower-bound admissibility invariant probed against
 //!   naive z-normalised distances;

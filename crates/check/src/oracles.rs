@@ -7,14 +7,21 @@
 //! indices. A divergence is only reported when *distances* disagree beyond
 //! tolerance or when one side finds a motif the other says does not exist.
 //!
-//! The exception is [`check_diagonal_vs_row`]: the diagonal-blocked STOMP
-//! kernel *guarantees* bit-identity with the row streamer (see
-//! `valmod_mp::diagonal`), so that oracle compares `mp` bit patterns and
-//! `ip` indices exactly, across several block widths and a parallel run.
+//! The exceptions are [`check_diagonal_vs_row`] and
+//! [`check_harvest_vs_row`]: the diagonal-blocked STOMP kernel *guarantees*
+//! bit-identity with the row streamer (see `valmod_mp::diagonal`), and the
+//! fused LB harvest on top of it with the row-streamed harvest, so those
+//! oracles compare `mp` bit patterns, `ip` indices and (for the harvest)
+//! every retained partial-profile entry exactly, across several block
+//! widths.
 
 use valmod_baselines::stomp_range;
 use valmod_core::lb::lb_scale;
-use valmod_core::{compute_matrix_profile, Valmod, ValmodConfig};
+use valmod_core::profile::PartialProfile;
+use valmod_core::{
+    compute_matrix_profile, compute_matrix_profile_rows, compute_matrix_profile_ws, Valmod,
+    ValmodConfig,
+};
 use valmod_data::rng::Xoshiro256;
 use valmod_mp::diagonal::{stomp_diagonal_parallel_ws, stomp_diagonal_ws};
 use valmod_mp::distance::zdist_naive;
@@ -60,7 +67,7 @@ fn diverge(case: &Case, oracle: &'static str, detail: String) -> Divergence {
     Divergence { case_id: case.id, oracle, detail: format!("{}: {detail}", case.label()) }
 }
 
-/// Runs the five differential oracles plus the LB-admissibility invariant.
+/// Runs the six differential oracles plus the LB-admissibility invariant.
 pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let ps = match ProfiledSeries::from_values(&case.values) {
@@ -71,6 +78,9 @@ pub fn run_case(case: &Case, lb_probe_budget: usize) -> CaseOutcome {
         }
     };
     if let Some(d) = check_diagonal_vs_row(case, &ps) {
+        out.divergences.push(d);
+    }
+    if let Some(d) = check_harvest_vs_row(case, &ps) {
         out.divergences.push(d);
     }
     if let Some(d) = check_valmod_vs_stomp(case, &ps) {
@@ -166,6 +176,58 @@ pub fn check_diagonal_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
         Err(e) => return Some(diverge(case, "diagonal-vs-row", format!("parallel: {e}"))),
     };
     bit_identical(&par, "parallel threads=3")
+}
+
+/// The fused diagonal LB harvest against the row-streamed one — *bit-exact*
+/// on `mp`/`ip` and on every retained `(neighbor, qt, dist, lb_key)` of
+/// every partial profile, across block widths 1, 7 and wider than any case.
+/// Both harvests key each pair by `lb_key` of the same bitwise-symmetric
+/// correlation, and the heap's strict total order makes the retained set
+/// independent of visit order, so nothing may differ in a single bit.
+pub fn check_harvest_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
+    let (l, p, policy) = (case.l_min, case.p, ExclusionPolicy::HALF);
+    let fail = |what: String| Some(diverge(case, "harvest-vs-row", what));
+    let rows = match compute_matrix_profile_rows(ps, l, p, policy) {
+        Ok(h) => h,
+        Err(e) => return fail(format!("row harvest: {e}")),
+    };
+    let entries = |prof: &PartialProfile| {
+        let mut v: Vec<(usize, u64, u64, u64)> = prof
+            .entries()
+            .iter()
+            .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    for block in [1usize, 7, 1 << 20] {
+        let fused =
+            match compute_matrix_profile_ws(ps, l, p, policy, &mut Workspace::with_block(block)) {
+                Ok(h) => h,
+                Err(e) => return fail(format!("block={block}: fused harvest: {e}")),
+            };
+        let (a, b) = (&fused.profile, &rows.profile);
+        if a.len() != b.len() || fused.partials.len() != rows.partials.len() {
+            return fail(format!("block={block}: row counts differ"));
+        }
+        for i in 0..b.len() {
+            if a.mp[i].to_bits() != b.mp[i].to_bits() || a.ip[i] != b.ip[i] {
+                return fail(format!(
+                    "block={block}: profile row {i} at l={l}: fused ({}, {}) vs row ({}, {})",
+                    a.mp[i], a.ip[i], b.mp[i], b.ip[i]
+                ));
+            }
+        }
+        for (pf, pr) in fused.partials.iter().zip(&rows.partials) {
+            if entries(pf) != entries(pr) {
+                return fail(format!(
+                    "block={block}: retained entries of profile {} differ at l={l} p={p}",
+                    pr.owner
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// VALMOD against independent STOMP-per-length: the paper's Problem 1 answer

@@ -17,16 +17,23 @@
 //!   replaying the same ingestion history (the stats frame is pinned at
 //!   LOAD time, so the replay — not a one-shot LOAD — is the oracle).
 //!
+//! Two more scenarios inject I/O errors that are not crashes — a WAL write
+//! cut short by a full disk, and an fsync that fails after the record was
+//! written — through the persistence layer's fault hook, and assert that
+//! every acknowledged APPEND survives the restart.
+//!
 //! Everything derives from the run's seed, so `valmod check --seed 42`
 //! reproduces the same matrix bit-for-bit.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use valmod_data::generators::random_walk;
 use valmod_mp::ExclusionPolicy;
 use valmod_serve::engine::{EngineConfig, QueryEngine, QueryKind, QuerySpec};
 use valmod_serve::persist::wal_record_spans;
-use valmod_serve::{SeriesStore, SharedRecorder, Value};
+use valmod_serve::{Fault, IoStep, SeriesStore, SharedRecorder, Value};
 
 /// Append-batch sizes of the reference ingestion: deliberately irregular
 /// (shorter than the hot window, a single sample, longer batches) so WAL
@@ -154,6 +161,18 @@ pub fn run_recovery_matrix(seed: u64) -> RecoveryReport {
     // with itself (the truncation is physical, not re-derived each open).
     report.record("recover-twice-is-stable", recover_twice(&base_dir, &root, &samples));
 
+    // I/O errors that are not crashes: an APPEND whose WAL write fails
+    // part-way (disk full) or whose fsync fails after the whole record was
+    // written. The client retries the batch and carries on; every
+    // acknowledged batch must survive a restart.
+    let io_faults = [
+        ("enospc-short-write", IoStep::WalWrite, Fault { errno: ENOSPC, written: 100 }),
+        ("eio-on-fsync", IoStep::WalSync, Fault { errno: EIO, written: 0 }),
+    ];
+    for (name, step, fault) in io_faults {
+        report.record(name, io_fault_scenario(&root.join(name), step, fault, &samples));
+    }
+
     let _ = std::fs::remove_dir_all(&root);
     report
 }
@@ -175,6 +194,83 @@ fn build_reference_dir(dir: &Path, samples: &[f64]) -> Result<(), String> {
         offset += size;
     }
     Ok(())
+}
+
+/// Linux `ENOSPC` (no space left on device).
+const ENOSPC: i32 = 28;
+/// Linux `EIO` (I/O error).
+const EIO: i32 = 5;
+
+/// Runs the reference ingestion against a durable store whose WAL `step`
+/// fails once with `fault`, on the second APPEND. That APPEND must report
+/// the error and leave the series untouched; the client then retries it and
+/// finishes the ingestion. After a restart the store must hold the whole
+/// acknowledged history, bit for bit, and answer `MOTIFS` like a cold
+/// engine — which fails if the failed write left an orphan record behind.
+fn io_fault_scenario(
+    dir: &Path,
+    step: IoStep,
+    fault: Fault,
+    samples: &[f64],
+) -> Result<(), String> {
+    let noop = SharedRecorder::noop();
+    {
+        let mut store =
+            SeriesStore::open(dir, u64::MAX, &noop).map_err(|e| format!("open store: {e}"))?;
+        let armed = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&armed);
+        store.set_fault_hook(Arc::new(move |s, _| {
+            (s == step && flag.swap(false, Ordering::SeqCst)).then_some(fault)
+        }));
+        store
+            .load(
+                "s",
+                samples[..BASE_LEN].to_vec(),
+                &[HOT_LENGTH],
+                ExclusionPolicy::HALF,
+                false,
+                &noop,
+            )
+            .map_err(|e| format!("load: {e}"))?;
+        let mut offset = BASE_LEN;
+        for (k, size) in BATCH_SIZES.into_iter().enumerate() {
+            let batch = &samples[offset..offset + size];
+            if k == 1 {
+                armed.store(true, Ordering::SeqCst);
+                if store.append("s", batch, &noop).is_ok() {
+                    return Err("the injected WAL failure was acknowledged".into());
+                }
+                let version = store.get("s").map_err(|e| e.to_string())?.version();
+                if version != 2 {
+                    return Err(format!("failed APPEND moved the version to {version}"));
+                }
+            }
+            store.append("s", batch, &noop).map_err(|e| format!("append {k}: {e}"))?;
+            offset += size;
+        }
+    }
+    let store =
+        SeriesStore::open(dir, u64::MAX, &noop).map_err(|e| format!("recovery errored: {e}"))?;
+    let slot = store.get("s").map_err(|e| format!("series missing after recovery: {e}"))?;
+    let expected_version = 1 + BATCH_SIZES.len() as u64;
+    if slot.version() != expected_version {
+        return Err(format!(
+            "recovered version {}, expected {expected_version}: acknowledged batches were lost",
+            slot.version()
+        ));
+    }
+    let values = slot.read().values().to_vec();
+    if values.len() != samples.len()
+        || values.iter().zip(samples).any(|(a, b)| a.to_bits() != b.to_bits())
+    {
+        return Err(format!(
+            "recovered {} samples that differ from the {} acknowledged",
+            values.len(),
+            samples.len()
+        ));
+    }
+    drop(store);
+    motifs_match_cold(dir, samples)
 }
 
 /// Copies the reference dir, applies the kill point, reopens, and checks
@@ -370,7 +466,7 @@ mod tests {
         let report = run_recovery_matrix(42);
         assert!(report.all_passed(), "failures: {:?}", report.failed);
         // Every named scenario ran.
-        assert!(report.passed.len() >= 11, "ran: {:?}", report.passed);
+        assert!(report.passed.len() >= 14, "ran: {:?}", report.passed);
     }
 
     #[test]

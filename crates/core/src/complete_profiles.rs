@@ -13,6 +13,7 @@
 //! (per-length shapelet and discord analysis).
 
 use valmod_data::error::Result;
+use valmod_mp::distance::CorrStats;
 use valmod_mp::distance_profile::{dp_from_qt_into, profile_min, self_qt};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::matrix_profile::MatrixProfile;
@@ -61,6 +62,7 @@ pub fn complete_profiles(
         let mut ip = vec![usize::MAX; ndp];
         let mut certified = 0usize;
         let mut recomputed = 0usize;
+        let mut corr_stats: Option<CorrStats> = None;
         for j in 0..ndp {
             let prof = &mut state.partials[j];
             let sigma_new = ps.std(j, l);
@@ -88,10 +90,11 @@ pub fn complete_profiles(
                 certified += 1;
             } else {
                 // Recompute this row and re-anchor its partial profile.
+                let corr_stats = corr_stats.get_or_insert_with(|| CorrStats::new(ps, l, ndp));
                 let qt = self_qt(ps, j, l);
-                dp_from_qt_into(ps, &qt, j, l, &policy, &mut dp);
+                dp_from_qt_into(corr_stats, &qt, j, l, &policy, &mut dp);
                 prof.reanchor(l, sigma_new);
-                harvest_row(ps, prof, &dp, &qt, j, l);
+                harvest_row(prof, corr_stats, &dp, &qt, j, l);
                 if let Some((arg, d)) = profile_min(&dp) {
                     mp[j] = d;
                     ip[j] = arg;

@@ -5,16 +5,33 @@
 //! ([`valmod_mp::diagonal::diagonal_cells`]): every visited cell `(i, j)`
 //! folds into both rows' minima *and* both rows' [`PartialProfile`]s
 //! (`listDP` in the paper) in one cache-resident pass, reusing a
-//! [`Workspace`]'s buffers and FFT plans across calls. Total cost
-//! `O(n² log p)`. The heap's strict total order makes the retained set
-//! independent of visit order, so the result matches the row-streamed
-//! harvest (`harvest_row` over [`valmod_mp::stomp::StompDriver`] rows) —
-//! which survives as the per-chunk kernel of the parallel path and as the
-//! refinement step of `ComputeSubMP`.
+//! [`Workspace`]'s buffers across calls. Total cost `O(n² log p)`. The
+//! heap's strict total order makes the retained set independent of visit
+//! order, so the result matches the row-streamed harvest
+//! ([`compute_matrix_profile_rows`]: `harvest_row` over
+//! [`valmod_mp::stomp::StompDriver`] rows) bit for bit — `harvest_row`
+//! also serves the chunked parallel path and the refinement step of
+//! `ComputeSubMP`.
+//!
+//! ## The harvest works in correlation space
+//!
+//! The traversal hands each cell's Pearson correlation `q` along with its
+//! distance, computed by the one multiply-only, bitwise-symmetric formula
+//! of [`valmod_mp::distance::correlation`]; the pair's Eq. 2 key is
+//! [`lb_key`]`(q)` (a flat side arrives as `q = 1`, key 0). No distance is
+//! turned back into a correlation, and the key has no branch. Offers are
+//! screened against a contiguous `worst_key[j]` array holding each
+//! profile's admit bound (the root's key once the heap is full), so once
+//! heaps fill, most offers cost one compare and never touch a heap. One
+//! fold —
+//! `HarvestFold` for cell streams, `harvest_row` for single rows, both
+//! over the same offer screen — serves every harvest site: the fused and
+//! capturing harvests, `SegmentState::extend`, the parallel path, the
+//! Alg. 4 refinement and `complete_profiles`.
 
 use valmod_data::error::Result;
 use valmod_mp::diagonal::{diagonal_cells, lex_update};
-use valmod_mp::distance::is_flat;
+use valmod_mp::distance::CorrStats;
 use valmod_mp::distance_profile::profile_min;
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::matrix_profile::MatrixProfile;
@@ -36,37 +53,82 @@ pub struct MpWithProfiles {
     pub partials: Vec<PartialProfile>,
 }
 
-/// Derives the Eq. 2 anchor key for a pair from its already-computed
-/// distance: `q = 1 − d²/(2ℓ)`. Pairs involving a flat subsequence fall back
-/// to key 0 (LB 0, unconditionally admissible), because the analytic bound's
-/// derivation assumes both σ > 0.
-#[inline]
-pub(crate) fn key_for_pair(dist: f64, l: usize, owner_flat: bool, neighbor_flat: bool) -> f64 {
-    if owner_flat || neighbor_flat {
-        return 0.0;
+/// Offers `entry` to `prof` unless its key exceeds `*bound`, the profile's
+/// cached `PartialProfile::admit_bound`; keeps the bound current. Once a
+/// heap fills, most offers fail this one comparison against a contiguous
+/// array and never touch the heap. The rejected offers are exactly those
+/// `offer` itself would discard (their key is strictly worse than the
+/// root's), so the retained set and heap layout do not change.
+#[inline(always)]
+fn offer_bounded(prof: &mut PartialProfile, bound: &mut f64, entry: DpEntry) {
+    if entry.lb_key <= *bound {
+        prof.offer(entry);
+        *bound = prof.admit_bound();
     }
-    let q = 1.0 - (dist * dist) / (2.0 * l as f64);
-    lb_key(q.clamp(-1.0, 1.0), l)
+}
+
+/// The key-and-offer fold of the fused harvests (the diagonal traversal,
+/// its capturing variant and `SegmentState::extend`): every visited cell
+/// `(i, j)` min-folds into both rows of the profile and offers the pair to
+/// both rows' partial profiles under one Eq. 2 key, [`lb_key`] of the
+/// correlation the traversal hands over. `worst_key[j]` caches each
+/// profile's admit bound in one contiguous array.
+pub(crate) struct HarvestFold<'a> {
+    l: usize,
+    mp: &'a mut [f64],
+    ip: &'a mut [usize],
+    partials: &'a mut [PartialProfile],
+    worst_key: Vec<f64>,
+}
+
+impl<'a> HarvestFold<'a> {
+    /// A fold into `mp`/`ip` and `partials`, all over the same rows and
+    /// anchored at `l`.
+    pub(crate) fn new(
+        l: usize,
+        mp: &'a mut [f64],
+        ip: &'a mut [usize],
+        partials: &'a mut [PartialProfile],
+    ) -> Self {
+        let worst_key = partials.iter().map(PartialProfile::admit_bound).collect();
+        HarvestFold { l, mp, ip, partials, worst_key }
+    }
+
+    /// Folds one cell `(i, j, qt, q, dist)` as streamed by
+    /// [`diagonal_cells`] / `extend_cells`.
+    #[inline(always)]
+    pub(crate) fn cell(&mut self, i: usize, j: usize, qt: f64, q: f64, dist: f64) {
+        lex_update(&mut self.mp[i], &mut self.ip[i], dist, j);
+        lex_update(&mut self.mp[j], &mut self.ip[j], dist, i);
+        let lb_key = lb_key(q, self.l);
+        let (partials, worst) = (&mut *self.partials, &mut self.worst_key);
+        offer_bounded(&mut partials[i], &mut worst[i], DpEntry { neighbor: j, qt, dist, lb_key });
+        offer_bounded(&mut partials[j], &mut worst[j], DpEntry { neighbor: i, qt, dist, lb_key });
+    }
 }
 
 /// Harvests the `p` smallest-LB entries of one freshly computed distance
-/// profile row into `prof` (which must already be (re-)anchored at `l`).
+/// profile row into `prof` (which must already be (re-)anchored at `l`):
+/// the row-streamed harvest of the parallel path, the Alg. 4 refinement and
+/// [`crate::complete_profiles()`]. `stats` holds the length's per-offset
+/// statistics; each pair's key is [`lb_key`] of the same correlation the
+/// fused diagonal harvest computes (the formula is bitwise symmetric in its
+/// two sides), so both harvests retain bit-identical entries.
 pub(crate) fn harvest_row(
-    ps: &ProfiledSeries,
     prof: &mut PartialProfile,
+    stats: &CorrStats,
     dp: &[f64],
     qt: &[f64],
     owner: usize,
     l: usize,
 ) {
-    let owner_flat = is_flat(ps.std(owner, l), ps.mean_c(owner, l));
-    for (i, (&dist, &q)) in dp.iter().zip(qt).enumerate() {
+    let mut bound = prof.admit_bound();
+    for (i, (&dist, &qt)) in dp.iter().zip(qt).enumerate() {
         if !dist.is_finite() {
             continue; // exclusion zone
         }
-        let neighbor_flat = is_flat(ps.std(i, l), ps.mean_c(i, l));
-        let key = key_for_pair(dist, l, owner_flat, neighbor_flat);
-        prof.offer(DpEntry { neighbor: i, qt: q, dist, lb_key: key });
+        let lb_key = lb_key(stats.corr(qt, l, owner, i), l);
+        offer_bounded(prof, &mut bound, DpEntry { neighbor: i, qt, dist, lb_key });
     }
 }
 
@@ -89,7 +151,7 @@ pub fn compute_matrix_profile(
 /// diagonal traversal computes the matrix profile *and* harvests both ends
 /// of every visited pair — `(i, j)` is touched once and offered to
 /// `partials[i]` and `partials[j]` with the same distance, dot product, and
-/// Eq. 2 key (the key is symmetric in the pair's flat flags). The retained
+/// Eq. 2 key (`lb_key` of the pair's symmetric correlation). The retained
 /// sets equal the row-streamed harvest's: the heap order is total, so offer
 /// order cannot change which entries survive.
 pub fn compute_matrix_profile_ws(
@@ -99,25 +161,10 @@ pub fn compute_matrix_profile_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<MpWithProfiles> {
-    let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let mut partials: Vec<PartialProfile> =
-        (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-    let flats: Vec<bool> = (0..ndp).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
-    diagonal_cells(ps, l, &policy, ws, |i, j, q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-        if d.is_finite() {
-            let key = key_for_pair(d, l, flats[i], flats[j]);
-            partials[i].offer(DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
-            partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
-        }
-    })?;
-    Ok(MpWithProfiles {
-        profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-        partials,
-    })
+    let traverse = |fold: &mut HarvestFold| {
+        diagonal_cells(ps, l, &policy, ws, |i, j, qt, q, d| fold.cell(i, j, qt, q, d)).map(drop)
+    };
+    fused_harvest(ps, l, p, policy, traverse).map(|(out, ())| out)
 }
 
 /// [`compute_matrix_profile_ws`] plus a captured
@@ -134,28 +181,62 @@ pub fn compute_matrix_profile_capture_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<(MpWithProfiles, valmod_mp::extend::TailState)> {
+    fused_harvest(ps, l, p, policy, |fold| {
+        valmod_mp::extend::capture_cells(ps, l, policy, ws, |i, j, qt, q, d| {
+            fold.cell(i, j, qt, q, d)
+        })
+    })
+}
+
+/// Runs `traverse` (a diagonal traversal feeding its `(i, j, qt, q, dist)`
+/// cells to [`HarvestFold::cell`]) over fresh `mp`/`ip` arrays and partial
+/// profiles, returning them with whatever the traversal returns.
+fn fused_harvest<T>(
+    ps: &ProfiledSeries,
+    l: usize,
+    p: usize,
+    policy: ExclusionPolicy,
+    traverse: impl FnOnce(&mut HarvestFold) -> Result<T>,
+) -> Result<(MpWithProfiles, T)> {
     let ndp = ps.require_pairs(l)?;
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
     let mut partials: Vec<PartialProfile> =
         (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-    let flats: Vec<bool> = (0..ndp).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
-    let tail = valmod_mp::extend::capture_cells(ps, l, policy, ws, |i, j, q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-        if d.is_finite() {
-            let key = key_for_pair(d, l, flats[i], flats[j]);
-            partials[i].offer(DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
-            partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
+    let extra = traverse(&mut HarvestFold::new(l, &mut mp, &mut ip, &mut partials))?;
+    let profile = MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) };
+    Ok((MpWithProfiles { profile, partials }, extra))
+}
+
+/// The row-streamed harvest: rows of the distance matrix from the
+/// [`StompDriver`](valmod_mp::stomp::StompDriver), each harvested with
+/// `harvest_row`. Not a fast path — it is the reference the fused
+/// diagonal harvest is held to, bit for bit on the profile and on every
+/// retained `(neighbor, qt, dist, lb_key)` (`valmod-check`'s
+/// `harvest-vs-row` oracle).
+pub fn compute_matrix_profile_rows(
+    ps: &ProfiledSeries,
+    l: usize,
+    p: usize,
+    policy: ExclusionPolicy,
+) -> Result<MpWithProfiles> {
+    let mut driver = valmod_mp::stomp::StompDriver::new(ps, l, policy)?;
+    let ndp = driver.ndp();
+    let mut mp = vec![f64::INFINITY; ndp];
+    let mut ip = vec![usize::MAX; ndp];
+    let mut partials: Vec<PartialProfile> =
+        (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
+    let stats = CorrStats::new(ps, l, ndp);
+    let mut dp = Vec::with_capacity(ndp);
+    while let Some(row) = driver.next_row(&mut dp) {
+        if let Some((arg, d)) = profile_min(&dp) {
+            mp[row] = d;
+            ip[row] = arg;
         }
-    })?;
-    Ok((
-        MpWithProfiles {
-            profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-            partials,
-        },
-        tail,
-    ))
+        harvest_row(&mut partials[row], &stats, &dp, driver.qt(), row, l);
+    }
+    let profile = MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) };
+    Ok(MpWithProfiles { profile, partials })
 }
 
 /// Multi-threaded [`compute_matrix_profile`]: rows are split into contiguous
@@ -177,6 +258,7 @@ pub fn compute_matrix_profile_parallel(
     let mut ip = vec![usize::MAX; ndp];
     let mut partials: Vec<PartialProfile> =
         (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
+    let stats = &CorrStats::new(ps, l, ndp);
 
     std::thread::scope(|scope| {
         let mut mp_rest: &mut [f64] = &mut mp;
@@ -190,13 +272,13 @@ pub fn compute_matrix_profile_parallel(
             ip_rest = ip_tail;
             pr_rest = pr_tail;
             scope.spawn(move || {
-                stomp_rows(ps, l, &policy, chunk_start, len, |i, dp, qt| {
+                stomp_rows(ps, l, &policy, stats, chunk_start, len, |i, dp, qt| {
                     let k = i - chunk_start;
                     if let Some((arg, d)) = profile_min(dp) {
                         mp_chunk[k] = d;
                         ip_chunk[k] = arg;
                     }
-                    harvest_row(ps, &mut pr_chunk[k], dp, qt, i, l);
+                    harvest_row(&mut pr_chunk[k], stats, dp, qt, i, l);
                 });
             });
         }
@@ -317,7 +399,7 @@ impl PassBaseline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use valmod_data::generators::random_walk;
     use valmod_mp::stomp::stomp;
@@ -348,36 +430,23 @@ mod tests {
         }
     }
 
-    /// The pre-fusion implementation, kept verbatim as the reference: stream
-    /// rows with the [`valmod_mp::stomp::StompDriver`] and harvest each with
-    /// [`harvest_row`].
-    fn row_streamed_reference(
-        ps: &ProfiledSeries,
-        l: usize,
-        p: usize,
-        policy: ExclusionPolicy,
-    ) -> MpWithProfiles {
-        let mut driver = valmod_mp::stomp::StompDriver::new(ps, l, policy).unwrap();
-        let ndp = driver.ndp();
-        let mut mp = vec![f64::INFINITY; ndp];
-        let mut ip = vec![usize::MAX; ndp];
-        let mut partials: Vec<PartialProfile> =
-            (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-        let mut dp = Vec::with_capacity(ndp);
-        while let Some(row) = driver.next_row(&mut dp) {
-            if let Some((arg, d)) = profile_min(&dp) {
-                mp[row] = d;
-                ip[row] = arg;
-            }
-            harvest_row(ps, &mut partials[row], &dp, driver.qt(), row, l);
-        }
-        MpWithProfiles {
-            profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-            partials,
-        }
+    /// A profile's retained entries as sorted `(neighbor, qt, dist, lb_key)`
+    /// bit patterns — the set every harvest must agree on.
+    pub(crate) fn entry_bits(p: &PartialProfile) -> Vec<(usize, u64, u64, u64)> {
+        let mut v: Vec<_> = p
+            .entries()
+            .iter()
+            .map(|e| (e.neighbor, e.qt.to_bits(), e.dist.to_bits(), e.lb_key.to_bits()))
+            .collect();
+        v.sort_unstable();
+        v
     }
 
-    fn assert_harvests_bit_identical(a: &MpWithProfiles, b: &MpWithProfiles, what: &str) {
+    pub(crate) fn assert_harvests_bit_identical(
+        a: &MpWithProfiles,
+        b: &MpWithProfiles,
+        what: &str,
+    ) {
         assert_eq!(a.profile.len(), b.profile.len(), "{what}: length");
         for i in 0..a.profile.len() {
             assert_eq!(a.profile.mp[i].to_bits(), b.profile.mp[i].to_bits(), "{what}: mp[{i}]");
@@ -385,16 +454,7 @@ mod tests {
         }
         for (pa, pb) in a.partials.iter().zip(&b.partials) {
             assert_eq!(pa.owner, pb.owner);
-            let norm = |p: &PartialProfile| {
-                let mut v: Vec<(usize, u64, u64)> = p
-                    .entries()
-                    .iter()
-                    .map(|e| (e.neighbor, e.dist.to_bits(), e.lb_key.to_bits()))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(norm(pa), norm(pb), "{what}: partials of owner {}", pa.owner);
+            assert_eq!(entry_bits(pa), entry_bits(pb), "{what}: partials of owner {}", pa.owner);
         }
     }
 
@@ -402,7 +462,7 @@ mod tests {
     fn fused_diagonal_harvest_matches_row_harvest_bit_for_bit() {
         let ps = ProfiledSeries::from_values(&random_walk(320, 61)).unwrap();
         for (l, p) in [(16usize, 4usize), (24, 1), (50, 8)] {
-            let reference = row_streamed_reference(&ps, l, p, ExclusionPolicy::HALF);
+            let reference = compute_matrix_profile_rows(&ps, l, p, ExclusionPolicy::HALF).unwrap();
             let fused = compute_matrix_profile(&ps, l, p, ExclusionPolicy::HALF).unwrap();
             assert_harvests_bit_identical(&fused, &reference, &format!("l={l} p={p}"));
         }
@@ -417,9 +477,49 @@ mod tests {
             *v = 1.0;
         }
         let ps = ProfiledSeries::from_values(&series).unwrap();
-        let reference = row_streamed_reference(&ps, 16, 3, ExclusionPolicy::HALF);
+        let reference = compute_matrix_profile_rows(&ps, 16, 3, ExclusionPolicy::HALF).unwrap();
         let fused = compute_matrix_profile(&ps, 16, 3, ExclusionPolicy::HALF).unwrap();
         assert_harvests_bit_identical(&fused, &reference, "flat stretch");
+    }
+
+    /// A random walk with an exactly constant stretch, a near-flat stretch
+    /// whose σ sits just above the flatness threshold, and a stair step.
+    pub(crate) fn flat_and_near_flat_series(n: usize, seed: u64) -> Vec<f64> {
+        let mut series = random_walk(n, seed);
+        for v in &mut series[n / 5..n / 5 + 50] {
+            *v = 3.25;
+        }
+        for (k, v) in series[n / 2..n / 2 + 45].iter_mut().enumerate() {
+            *v = 1.0 + if k % 2 == 0 { 1e-15 } else { -1e-15 };
+        }
+        for v in &mut series[3 * n / 4..3 * n / 4 + 20] {
+            *v = -7.5;
+        }
+        series
+    }
+
+    #[test]
+    fn every_harvest_site_agrees_on_flat_and_near_flat_stretches() {
+        let series = flat_and_near_flat_series(420, 79);
+        let ps = ProfiledSeries::from_values(&series).unwrap();
+        for (l, p) in [(12usize, 3usize), (16, 5), (24, 1)] {
+            let rows = compute_matrix_profile_rows(&ps, l, p, ExclusionPolicy::HALF).unwrap();
+            for block in [1usize, 7, 1 << 20] {
+                let mut ws = Workspace::with_block(block);
+                let fused =
+                    compute_matrix_profile_ws(&ps, l, p, ExclusionPolicy::HALF, &mut ws).unwrap();
+                let what = format!("fused l={l} p={p} block={block}");
+                assert_harvests_bit_identical(&fused, &rows, &what);
+                let (captured, _) =
+                    compute_matrix_profile_capture_ws(&ps, l, p, ExclusionPolicy::HALF, &mut ws)
+                        .unwrap();
+                let what = format!("capture l={l} p={p} block={block}");
+                assert_harvests_bit_identical(&captured, &rows, &what);
+            }
+            // Flat pairs carry key 0 (q = 1) on every side of the pair.
+            let flat_row = 420 / 5 + 10;
+            assert!(rows.partials[flat_row].entries().iter().all(|e| e.lb_key == 0.0));
+        }
     }
 
     #[test]

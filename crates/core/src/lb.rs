@@ -19,15 +19,17 @@
 /// The length-independent part of Eq. 2, squared: `ℓ` when `q ≤ 0`, else
 /// `ℓ(1 − q²)`. Squaring avoids a sqrt in the harvesting hot loop; ordering
 /// is unchanged.
-#[inline]
+///
+/// Harvests call this with the correlation the kernel already computed
+/// (flat pairs arrive as `q = 1`, key 0). Clamping `q` into `[0, 1]` folds
+/// the `q ≤ 0` case into the same expression (`ℓ·(1 − 0) = ℓ` exactly), so
+/// the hot loop has no data-dependent branch. The key is always finite and
+/// never `−0.0` (`1 − q² ≥ +0` for `q ∈ [0, 1]`), which lets the partial
+/// profiles compare keys with plain `>`/`==`.
+#[inline(always)]
 pub fn lb_key(q: f64, l: usize) -> f64 {
-    let lf = l as f64;
-    if q <= 0.0 {
-        lf
-    } else {
-        let q = q.min(1.0);
-        (lf * (1.0 - q * q)).max(0.0)
-    }
+    let q = q.clamp(0.0, 1.0);
+    l as f64 * (1.0 - q * q)
 }
 
 /// The anchor lower-bound value `sqrt(lb_key)` (the LB before the σ-ratio).

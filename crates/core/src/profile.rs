@@ -6,8 +6,9 @@
 //! of a profile share the σ-ratio scaling factor, the anchor-time ordering
 //! by [`crate::lb::lb_key`] *is* the ordering at every later length.
 //!
-//! Entries are ordered by the *strict total order* (`lb_key` via
-//! `f64::total_cmp`, then neighbour index). Two distinct entries of one
+//! Entries are ordered by the *strict total order* (`lb_key`, then
+//! neighbour index; keys are finite and never `−0.0`, so plain float
+//! comparison is total on them). Two distinct entries of one
 //! profile never compare equal (the neighbour is unique per owner), so which
 //! entries survive an over-full heap is independent of the order they were
 //! offered in — row-order and diagonal-order harvests retain the same set.
@@ -43,14 +44,19 @@ impl DpEntry {
     }
 }
 
-/// Strict total heap order: `lb_key` (via `total_cmp`), ties broken by the
-/// neighbour index. Returns whether `a` ranks strictly *worse* (greater)
-/// than `b`. With this order, eviction from a full heap is deterministic
-/// regardless of offer order.
-#[inline]
+/// Strict total heap order: `lb_key`, ties broken by the neighbour index.
+/// Returns whether `a` ranks strictly *worse* (greater) than `b`. With this
+/// order, eviction from a full heap is deterministic regardless of offer
+/// order.
+///
+/// Plain `>`/`==` on the keys is the `total_cmp` order here: every key
+/// [`crate::lb::lb_key`] produces is finite and never `−0.0`, the only two
+/// places the IEEE-754 comparison and the total order part ways.
+#[inline(always)]
 fn heap_gt(a: &DpEntry, b: &DpEntry) -> bool {
-    a.lb_key.total_cmp(&b.lb_key).then_with(|| a.neighbor.cmp(&b.neighbor))
-        == std::cmp::Ordering::Greater
+    // Non-short-circuit `|`/`&`: flag arithmetic instead of branches, so
+    // the sift-down's child selection compiles to a conditional move.
+    (a.lb_key > b.lb_key) | ((a.lb_key == b.lb_key) & (a.neighbor > b.neighbor))
 }
 
 /// The partial distance profile of one subsequence: its `p` smallest-LB
@@ -143,17 +149,36 @@ impl PartialProfile {
         }
     }
 
+    /// The largest key an offer can have and still be admitted: `+∞`
+    /// while the heap has room, the root's key once it is full (an offer
+    /// with exactly that key is decided by the neighbour tie-break). Harvest
+    /// loops cache it per profile to reject most offers without touching
+    /// the heap.
+    #[inline]
+    pub(crate) fn admit_bound(&self) -> f64 {
+        if self.is_full() {
+            self.entries[0].lb_key
+        } else {
+            f64::INFINITY
+        }
+    }
+
     /// Offers an entry during harvesting (paper Alg. 3 lines 18–24): keep it
     /// iff the heap is not full or it beats the current worst under the
-    /// strict total order (`lb_key`, then neighbour index).
+    /// strict total order (`lb_key`, then neighbour index). The key must be
+    /// finite and not `−0.0`, as every [`crate::lb::lb_key`] is.
     #[inline]
     pub fn offer(&mut self, entry: DpEntry) {
+        debug_assert!(
+            entry.lb_key.is_finite() && entry.lb_key.to_bits() != (-0.0f64).to_bits(),
+            "lb_key {} is outside the heap's total order",
+            entry.lb_key
+        );
         if self.entries.len() < self.capacity {
             self.entries.push(entry);
             self.sift_up(self.entries.len() - 1);
         } else if heap_gt(&self.entries[0], &entry) {
-            self.entries[0] = entry;
-            self.sift_down(0);
+            self.sift_down_from_root(entry);
         }
     }
 
@@ -178,23 +203,30 @@ impl PartialProfile {
         }
     }
 
-    fn sift_down(&mut self, mut idx: usize) {
+    /// Replaces the root with `entry` and restores the heap by moving a
+    /// hole down instead of swapping: each level costs one child-vs-child
+    /// and one child-vs-entry comparison and a single move. It makes the
+    /// same decisions as a swap-based sift-down (under a strict total order
+    /// both pick the largest of entry and children at each level), so the
+    /// heap layout is unchanged.
+    fn sift_down_from_root(&mut self, entry: DpEntry) {
         let n = self.entries.len();
+        let mut hole = 0;
         loop {
-            let (l, r) = (2 * idx + 1, 2 * idx + 2);
-            let mut largest = idx;
-            if l < n && heap_gt(&self.entries[l], &self.entries[largest]) {
-                largest = l;
-            }
-            if r < n && heap_gt(&self.entries[r], &self.entries[largest]) {
-                largest = r;
-            }
-            if largest == idx {
+            let l = 2 * hole + 1;
+            if l >= n {
                 break;
             }
-            self.entries.swap(idx, largest);
-            idx = largest;
+            let r = l + 1;
+            let child =
+                if r < n { l + heap_gt(&self.entries[r], &self.entries[l]) as usize } else { l };
+            if !heap_gt(&self.entries[child], &entry) {
+                break;
+            }
+            self.entries[hole] = self.entries[child];
+            hole = child;
         }
+        self.entries[hole] = entry;
     }
 }
 
@@ -299,6 +331,68 @@ mod tests {
         assert_eq!(forward, vec![2, 4, 8]);
         assert_eq!(survivors(&[5, 4, 3, 2, 1, 0]), forward);
         assert_eq!(survivors(&[3, 0, 5, 2, 4, 1]), forward);
+    }
+
+    /// The swap-based bounded max-heap the hole-based sift-down replaced,
+    /// ordered by `total_cmp` on the key: the layout reference.
+    fn swap_based_offer(heap: &mut Vec<DpEntry>, cap: usize, entry: DpEntry) {
+        let gt = |a: &DpEntry, b: &DpEntry| {
+            a.lb_key.total_cmp(&b.lb_key).then_with(|| a.neighbor.cmp(&b.neighbor))
+                == std::cmp::Ordering::Greater
+        };
+        if heap.len() < cap {
+            heap.push(entry);
+            let mut idx = heap.len() - 1;
+            while idx > 0 && gt(&heap[idx], &heap[(idx - 1) / 2]) {
+                heap.swap(idx, (idx - 1) / 2);
+                idx = (idx - 1) / 2;
+            }
+        } else if gt(&heap[0], &entry) {
+            heap[0] = entry;
+            let mut idx = 0;
+            loop {
+                let (l, r) = (2 * idx + 1, 2 * idx + 2);
+                let mut largest = idx;
+                if l < heap.len() && gt(&heap[l], &heap[largest]) {
+                    largest = l;
+                }
+                if r < heap.len() && gt(&heap[r], &heap[largest]) {
+                    largest = r;
+                }
+                if largest == idx {
+                    break;
+                }
+                heap.swap(idx, largest);
+                idx = largest;
+            }
+        }
+    }
+
+    #[test]
+    fn hole_based_offer_keeps_the_swap_based_heap_layout() {
+        let mut rng = valmod_data::rng::Xoshiro256::seed_from_u64(31);
+        for round in 0..200 {
+            let cap = rng.uniform_usize(1, 40);
+            // Few distinct keys (ties everywhere, including 0.0 from flat
+            // pairs), each neighbour offered once, in random order.
+            let distinct = rng.uniform_usize(1, 6);
+            let mut neighbors: Vec<usize> = (0..rng.uniform_usize(1, 300)).collect();
+            rng.shuffle(&mut neighbors);
+            let mut prof = PartialProfile::new(0, 8, 1.0, cap);
+            let mut reference = Vec::new();
+            for n in neighbors {
+                let key = rng.uniform_usize(0, distinct) as f64 * 0.25;
+                prof.offer(entry(n, key));
+                swap_based_offer(&mut reference, cap, entry(n, key));
+                let layout = |es: &[DpEntry]| -> Vec<(usize, u64)> {
+                    es.iter().map(|e| (e.neighbor, e.lb_key.to_bits())).collect()
+                };
+                assert_eq!(layout(prof.entries()), layout(&reference), "round {round}");
+                let bound =
+                    if reference.len() == cap { reference[0].lb_key } else { f64::INFINITY };
+                assert_eq!(prof.admit_bound(), bound, "round {round}");
+            }
+        }
     }
 
     #[test]

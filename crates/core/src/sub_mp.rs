@@ -20,6 +20,7 @@
 //! *shrink* the set of real pairs, so discarding them keeps every statement
 //! above conservative.
 
+use valmod_mp::distance::CorrStats;
 use valmod_mp::distance_profile::{dp_from_qt_into, profile_min};
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::parallel::row_chunks;
@@ -312,13 +313,15 @@ pub fn compute_sub_mp_threaded_with_ws(
     // below the best-so-far, provided there are few enough of them.
     if !found && non_valid.len() < ndp / p.max(1) {
         let mut dp = Vec::with_capacity(ndp);
+        let mut stats: Option<CorrStats> = None;
         for &(j, lb_max) in &non_valid {
             if lb_max < min_dist_abs {
+                let stats = stats.get_or_insert_with(|| CorrStats::new(ps, new_l, ndp));
                 let qt = ws.self_qt(ps, j, new_l);
-                dp_from_qt_into(ps, qt, j, new_l, &policy, &mut dp);
+                dp_from_qt_into(stats, qt, j, new_l, &policy, &mut dp);
                 let prof = &mut partials[j];
                 prof.reanchor(new_l, ps.std(j, new_l));
-                harvest_row(ps, prof, &dp, qt, j, new_l);
+                harvest_row(prof, stats, &dp, qt, j, new_l);
                 match profile_min(&dp) {
                     Some((arg, d)) => {
                         sub_mp[j] = d;

@@ -7,8 +7,6 @@
 
 use valmod_data::error::{Result, ValmodError};
 use valmod_data::series::Series;
-use valmod_mp::diagonal::lex_update;
-use valmod_mp::distance::is_flat;
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{extend_cells, TailState};
 use valmod_mp::motif::MotifPair;
@@ -18,7 +16,7 @@ use valmod_obs::{Recorder, SharedRecorder};
 use valmod_mp::workspace::Workspace;
 
 use crate::compute_mp::{
-    compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, key_for_pair,
+    compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, HarvestFold,
     MpWithProfiles,
 };
 use crate::pairs::BestKPairs;
@@ -500,18 +498,8 @@ impl SegmentState {
         for r in old_ndp..new_ndp {
             partials.push(PartialProfile::new(r, l, ps.std(r, l), p));
         }
-        let flats: Vec<bool> =
-            (0..new_ndp).map(|i| is_flat(ps.std(i, l), ps.mean_c(i, l))).collect();
-        let (mp, ip) = (&mut profile.mp, &mut profile.ip);
-        extend_cells(&mut self.tail, ps, |i, j, q, d| {
-            lex_update(&mut mp[i], &mut ip[i], d, j);
-            lex_update(&mut mp[j], &mut ip[j], d, i);
-            if d.is_finite() {
-                let key = key_for_pair(d, l, flats[i], flats[j]);
-                partials[i].offer(DpEntry { neighbor: j, qt: q, dist: d, lb_key: key });
-                partials[j].offer(DpEntry { neighbor: i, qt: q, dist: d, lb_key: key });
-            }
-        })?;
+        let mut fold = HarvestFold::new(l, &mut profile.mp, &mut profile.ip, partials);
+        extend_cells(&mut self.tail, ps, |i, j, qt, q, d| fold.cell(i, j, qt, q, d))?;
         self.n = ps.len();
         Ok(())
     }
@@ -1189,6 +1177,38 @@ mod tests {
             replayed.iter().any(|lp| lp.method == LengthMethod::Fallback),
             "construction no longer reaches the fallback branch"
         );
+    }
+
+    #[test]
+    fn extended_harvest_keeps_cold_entries_on_flat_stretches() {
+        // SegmentState::extend shares the fused harvest's key-and-offer
+        // fold: after any append schedule, its profile and every retained
+        // (neighbor, qt, dist, lb_key) equal a cold capture of the grown
+        // series, flat and near-flat stretches included.
+        use crate::compute_mp::compute_matrix_profile_capture_ws;
+        use crate::compute_mp::tests::{assert_harvests_bit_identical, flat_and_near_flat_series};
+        let values = flat_and_near_flat_series(480, 83);
+        let schedule = [1usize, 23, 60, 4];
+        let base_n = 480 - schedule.iter().sum::<usize>();
+        let base = ProfiledSeries::from_values(&values[..base_n]).unwrap();
+        let (l, p) = (14, 4);
+        let (_, seg) = Valmod::new(1, 2).p(p).run_lengths_capturing(&base, l, l + 4).unwrap();
+        let mut seg = seg.unwrap();
+        let mut n = base_n;
+        for &k in &schedule {
+            n += k;
+            let grown = ProfiledSeries::with_offset(&values[..n], base.offset()).unwrap();
+            seg.extend(&grown, &SharedRecorder::noop()).unwrap();
+            let (cold, _) = compute_matrix_profile_capture_ws(
+                &grown,
+                l,
+                p,
+                ExclusionPolicy::HALF,
+                &mut Workspace::new(),
+            )
+            .unwrap();
+            assert_harvests_bit_identical(&seg.state, &cold, &format!("n={n}"));
+        }
     }
 
     #[test]

@@ -23,19 +23,32 @@
 //! The QT value of any cell chains back to the direct-sum first row through
 //! the exact same left-associated update expression in both kernels (for the
 //! lower triangle the two factor orders of each product are swapped, and
-//! IEEE-754 multiplication commutes), and `dist_from_qt` is bitwise
-//! symmetric in its two subsequences. Min-updates break distance ties
-//! toward the smaller neighbour index — exactly the order
-//! [`profile_min`](crate::distance_profile::profile_min) produces scanning a
-//! row left to right. The `valmod-check` oracle `diagonal-vs-row` holds the
-//! two kernels to bit-identical `mp` *and* `ip` arrays across every
-//! generator family and block size.
+//! IEEE-754 multiplication commutes), and the one correlation formula
+//! ([`correlation`](crate::distance::correlation)) — from which the
+//! distance follows — is bitwise symmetric in its two subsequences: the
+//! row kernel meets pair `(j, i)` from row `j`, this kernel meets it once
+//! from row `min(i, j)`, and both compute the same `q` and `d`. Min-updates
+//! break distance ties toward the smaller neighbour index — exactly the
+//! order [`profile_min`](crate::distance_profile::profile_min) produces
+//! scanning a row left to right. The `valmod-check` oracle
+//! `diagonal-vs-row` holds the two kernels to bit-identical `mp` *and* `ip`
+//! arrays across every generator family and block size.
+//!
+//! ## Cells in correlation space
+//!
+//! The visitor receives `(i, j, qt, q, dist)`: the dot product, the Pearson
+//! correlation and the distance. Per-offset means and reciprocal σ are
+//! filled once per call into the workspace ([`CorrStats`]), so a cell costs
+//! the recurrence plus a multiply-only correlation and a sqrt — no
+//! division, no per-cell flatness test (the row's flat mask is hoisted).
+//! `valmod-core`'s Eq. 2 harvest keys pairs by `lb_key(q)` straight from
+//! the visited `q`.
 
 use valmod_data::error::Result;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::context::ProfiledSeries;
-use crate::distance::dist_from_qt;
+use crate::distance::CorrStats;
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
 use crate::parallel::resolve_threads;
@@ -69,43 +82,34 @@ pub fn lex_update(mp: &mut f64, ip: &mut usize, d: f64, j: usize) {
 fn prepare_seeds(ps: &ProfiledSeries, l: usize, ws: &mut Workspace) -> Result<usize> {
     let ndp = ps.require_pairs(l)?;
     let t = ps.centered();
-    let Workspace { qt_first, means, stds, .. } = ws;
+    let Workspace { qt_first, stats, .. } = ws;
     crate::distance_profile::seed_qt_row_into(t, l, ndp, qt_first);
     debug_assert_eq!(qt_first.len(), ndp);
-    means.clear();
-    means.extend((0..ndp).map(|i| ps.mean_c(i, l)));
-    stds.clear();
-    stds.extend((0..ndp).map(|i| ps.std(i, l)));
+    stats.fill(ps, l, ndp);
     Ok(ndp)
 }
 
-/// Streams every non-excluded cell of the upper triangle (`i < j`) to
-/// `visit(i, j, qt, dist)`, traversing diagonals `radius..ndp` in blocks of
-/// `ws.block()` and reusing the workspace buffers and FFT plans.
-///
-/// Within a fixed `i`, cells arrive in ascending `j`; for a fixed `j`, in
-/// ascending `i` — so a lexicographic min-fold over the visits reproduces
-/// the row kernel's profile exactly. Returns `ndp`.
-pub fn diagonal_cells<F>(
-    ps: &ProfiledSeries,
+/// The blocked traversal of diagonals `[k_start, k_end)`: streams every cell
+/// `(i, j)` of that range to `visit(i, j, qt, q, dist)` — the one loop
+/// under the sequential, range and parallel kernels. `diag` is the
+/// caller's in-flight QT buffer.
+#[allow(clippy::too_many_arguments)]
+fn traverse_range<F>(
+    t: &[f64],
     l: usize,
-    policy: &ExclusionPolicy,
-    ws: &mut Workspace,
-    mut visit: F,
-) -> Result<usize>
-where
-    F: FnMut(usize, usize, f64, f64),
+    ndp: usize,
+    qt_first: &[f64],
+    stats: &CorrStats,
+    (k_start, k_end): (usize, usize),
+    block: usize,
+    diag: &mut Vec<f64>,
+    visit: &mut F,
+) where
+    F: FnMut(usize, usize, f64, f64, f64),
 {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let t = ps.centered();
-    let Workspace { qt_first, diag, means, stds, .. } = ws;
-    let radius = policy.radius(l);
-
-    let mut kb = radius;
-    while kb < ndp {
-        let bw = block.min(ndp - kb);
+    let mut kb = k_start;
+    while kb < k_end {
+        let bw = block.min(k_end - kb);
         diag.clear();
         diag.extend_from_slice(&qt_first[kb..kb + bw]);
         // The block is a trapezoid: diagonal kb+c holds rows 0..ndp-(kb+c).
@@ -121,15 +125,37 @@ where
                     *q = *q - a * t[j - 1] + b * t[j + l - 1];
                 }
             }
-            let (mean_i, std_i) = (means[i], stds[i]);
-            for (c, &q) in diag.iter().enumerate().take(w) {
-                let j = i + kb + c;
-                let d = dist_from_qt(q, l, mean_i, std_i, means[j], stds[j]);
-                visit(i, j, q, d);
-            }
+            stats.visit_line(i, i + kb, &diag[..w], l, &mut |j, qt, q, d| visit(i, j, qt, q, d));
         }
         kb += bw;
     }
+}
+
+/// Streams every non-excluded cell of the upper triangle (`i < j`) to
+/// `visit(i, j, qt, q, dist)` — the dot product, the Pearson correlation
+/// ([`corr_and_dist`](crate::distance::corr_and_dist): `q = 1` when either
+/// side is flat) and the distance — traversing diagonals `radius..ndp` in
+/// blocks of `ws.block()` and reusing the workspace buffers.
+///
+/// Within a fixed `i`, cells arrive in ascending `j`; for a fixed `j`, in
+/// ascending `i` — so a lexicographic min-fold over the visits reproduces
+/// the row kernel's profile exactly. Returns `ndp`.
+pub fn diagonal_cells<F>(
+    ps: &ProfiledSeries,
+    l: usize,
+    policy: &ExclusionPolicy,
+    ws: &mut Workspace,
+    mut visit: F,
+) -> Result<usize>
+where
+    F: FnMut(usize, usize, f64, f64, f64),
+{
+    let ndp = prepare_seeds(ps, l, ws)?;
+    ws.note_use();
+    let block = ws.block();
+    let Workspace { qt_first, diag, stats, .. } = ws;
+    let range = (policy.radius(l).min(ndp), ndp);
+    traverse_range(ps.centered(), l, ndp, qt_first, stats, range, block, diag, &mut visit);
     Ok(ndp)
 }
 
@@ -170,7 +196,7 @@ pub fn stomp_diagonal_with(
     let ndp = ps.require_pairs(l)?;
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
-    diagonal_cells(ps, l, &policy, ws, |i, j, _q, d| {
+    diagonal_cells(ps, l, &policy, ws, |i, j, _qt, _q, d| {
         lex_update(&mut mp[i], &mut ip[i], d, j);
         lex_update(&mut mp[j], &mut ip[j], d, i);
     })?;
@@ -218,47 +244,25 @@ pub fn diagonal_chunks(ndp: usize, radius: usize, threads: usize) -> Vec<(usize,
     chunks
 }
 
-/// Runs the blocked traversal over diagonals `[k_start, k_end)` only, with
-/// caller-provided seed/statistics slices and a local QT buffer — the
-/// per-worker body of the parallel kernel.
+/// Min-folds diagonals `[k_start, k_end)` into `(mp, ip)` with a local QT
+/// buffer — the per-worker body of the range and parallel kernels.
 #[allow(clippy::too_many_arguments)]
 fn diagonal_range_minfold(
     t: &[f64],
     l: usize,
     ndp: usize,
     qt_first: &[f64],
-    means: &[f64],
-    stds: &[f64],
-    (k_start, k_end): (usize, usize),
+    stats: &CorrStats,
+    range: (usize, usize),
     block: usize,
     mp: &mut [f64],
     ip: &mut [usize],
 ) {
-    let mut diag = Vec::with_capacity(block.min(k_end - k_start));
-    let mut kb = k_start;
-    while kb < k_end {
-        let bw = block.min(k_end - kb);
-        diag.clear();
-        diag.extend_from_slice(&qt_first[kb..kb + bw]);
-        for i in 0..ndp - kb {
-            let w = bw.min(ndp - kb - i);
-            if i > 0 {
-                let (a, b) = (t[i - 1], t[i + l - 1]);
-                for (c, q) in diag.iter_mut().enumerate().take(w) {
-                    let j = i + kb + c;
-                    *q = *q - a * t[j - 1] + b * t[j + l - 1];
-                }
-            }
-            let (mean_i, std_i) = (means[i], stds[i]);
-            for (c, &q) in diag.iter().enumerate().take(w) {
-                let j = i + kb + c;
-                let d = dist_from_qt(q, l, mean_i, std_i, means[j], stds[j]);
-                lex_update(&mut mp[i], &mut ip[i], d, j);
-                lex_update(&mut mp[j], &mut ip[j], d, i);
-            }
-        }
-        kb += bw;
-    }
+    let mut diag = Vec::with_capacity(block.min(range.1 - range.0));
+    traverse_range(t, l, ndp, qt_first, stats, range, block, &mut diag, &mut |i, j, _qt, _q, d| {
+        lex_update(&mut mp[i], &mut ip[i], d, j);
+        lex_update(&mut mp[j], &mut ip[j], d, i);
+    });
 }
 
 /// Computes the *partial* matrix profile contributed by diagonals
@@ -287,14 +291,13 @@ pub fn stomp_diagonal_range_ws(
     let mut ip = vec![usize::MAX; ndp];
     let (k_start, k_end) = (k_start.clamp(radius, ndp), k_end.clamp(radius, ndp));
     if k_start < k_end {
-        let Workspace { qt_first, means, stds, .. } = ws;
+        let Workspace { qt_first, stats, .. } = ws;
         diagonal_range_minfold(
             t,
             l,
             ndp,
             qt_first,
-            means,
-            stds,
+            stats,
             (k_start, k_end),
             block,
             &mut mp,
@@ -340,13 +343,13 @@ pub fn stomp_diagonal_parallel_ws(
     let t = ps.centered();
     let radius = policy.radius(l);
     let chunks = diagonal_chunks(ndp, radius, threads);
-    let (qt_first, means, stds) = (&ws.qt_first, &ws.means, &ws.stds);
+    let (qt_first, stats) = (&ws.qt_first, &ws.stats);
 
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
     if let [only] = chunks[..] {
         // One worker: fold straight into the output, no merge copy.
-        diagonal_range_minfold(t, l, ndp, qt_first, means, stds, only, block, &mut mp, &mut ip);
+        diagonal_range_minfold(t, l, ndp, qt_first, stats, only, block, &mut mp, &mut ip);
     } else {
         let locals = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
@@ -356,7 +359,7 @@ pub fn stomp_diagonal_parallel_ws(
                         let mut lmp = vec![f64::INFINITY; ndp];
                         let mut lip = vec![usize::MAX; ndp];
                         diagonal_range_minfold(
-                            t, l, ndp, qt_first, means, stds, range, block, &mut lmp, &mut lip,
+                            t, l, ndp, qt_first, stats, range, block, &mut lmp, &mut lip,
                         );
                         (lmp, lip)
                     })

@@ -8,7 +8,7 @@
 use valmod_fft::real::sliding_dot_product;
 
 use crate::context::ProfiledSeries;
-use crate::distance::{dist_from_qt, zdist_naive};
+use crate::distance::{dist_from_qt, zdist_naive, CorrStats};
 use crate::exclusion::ExclusionPolicy;
 
 /// Computes the dot-product vector `QT[j] = ⟨T_{i,ℓ}, T_{j,ℓ}⟩` (centred
@@ -41,9 +41,13 @@ pub fn seed_qt_row_into(t: &[f64], l: usize, ndp: usize, out: &mut Vec<f64>) {
 }
 
 /// Fills `out` with the distance profile of `T_{i,ℓ}` given its precomputed
-/// dot-product vector `qt`. Entries inside the exclusion zone become `+∞`.
+/// dot-product vector `qt` and the length's per-offset statistics (`stats`
+/// filled for `l`, at least `qt.len()` offsets). Entries inside the
+/// exclusion zone become `+∞`. The owner's statistics and flat mask are
+/// hoisted out of the row, so each cell costs one multiply-only correlation
+/// ([`corr_and_dist`](crate::distance::corr_and_dist)).
 pub fn dp_from_qt_into(
-    ps: &ProfiledSeries,
+    stats: &CorrStats,
     qt: &[f64],
     i: usize,
     l: usize,
@@ -51,19 +55,15 @@ pub fn dp_from_qt_into(
     out: &mut Vec<f64>,
 ) {
     let ndp = qt.len();
-    debug_assert_eq!(ndp, ps.num_subsequences(l));
+    debug_assert!(stats.means.len() >= ndp);
     out.clear();
-    out.reserve(ndp);
-    let mean_i = ps.mean_c(i, l);
-    let std_i = ps.std(i, l);
+    out.resize(ndp, f64::INFINITY);
     let radius = policy.radius(l);
-    for (j, &q) in qt.iter().enumerate() {
-        if i.abs_diff(j) < radius {
-            out.push(f64::INFINITY);
-        } else {
-            out.push(dist_from_qt(q, l, mean_i, std_i, ps.mean_c(j, l), ps.std(j, l)));
-        }
-    }
+    // Cells outside the exclusion zone: [0, i − radius] and [i + radius, ndp).
+    let left_end = (i + 1).saturating_sub(radius).min(ndp);
+    let right_start = (i + radius).max(left_end).min(ndp);
+    stats.visit_line(i, 0, &qt[..left_end], l, &mut |j, _qt, _q, d| out[j] = d);
+    stats.visit_line(i, right_start, &qt[right_start..], l, &mut |j, _qt, _q, d| out[j] = d);
 }
 
 /// Full distance profile of subsequence `T_{i,ℓ}` against its own series
@@ -75,8 +75,9 @@ pub fn self_distance_profile(
     policy: &ExclusionPolicy,
 ) -> Vec<f64> {
     let qt = self_qt(ps, i, l);
+    let stats = CorrStats::new(ps, l, qt.len());
     let mut out = Vec::new();
-    dp_from_qt_into(ps, &qt, i, l, policy, &mut out);
+    dp_from_qt_into(&stats, &qt, i, l, policy, &mut out);
     out
 }
 

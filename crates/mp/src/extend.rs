@@ -11,7 +11,7 @@
 //!   [`TailState`] — the in-flight QT values of the matrix's last column,
 //!   which every still-growing diagonal chains through.
 //! * [`extend_profile`] walks the new columns with the *same* recurrence,
-//!   seed expression, and distance call as the diagonal kernel
+//!   seed expression, and correlation formula as the diagonal kernel
 //!   ([`crate::diagonal`]), min-folding new cells into the old profile with
 //!   [`lex_update`].
 //!
@@ -32,7 +32,7 @@ use valmod_data::error::{DataError, Result};
 
 use crate::context::ProfiledSeries;
 use crate::diagonal::{diagonal_cells, lex_update};
-use crate::distance::dist_from_qt;
+use crate::distance::CorrStats;
 use crate::distance_profile::seed_qt;
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
@@ -124,15 +124,15 @@ pub fn stomp_with_tail_ws(
     let ndp = ps.require_pairs(l)?;
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
-    let state = capture_cells(ps, l, policy, ws, |i, j, _q, d| {
+    let state = capture_cells(ps, l, policy, ws, |i, j, _qt, _q, d| {
         lex_update(&mut mp[i], &mut ip[i], d, j);
         lex_update(&mut mp[j], &mut ip[j], d, i);
     })?;
     Ok((MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) }, state))
 }
 
-/// Runs the cold diagonal traversal, streaming every cell `(i, j, qt, dist)`
-/// to `visit` exactly as [`diagonal_cells`] does, while capturing the
+/// Runs the cold diagonal traversal, streaming every cell
+/// `(i, j, qt, q, dist)` to `visit` exactly as [`diagonal_cells`] does, while capturing the
 /// [`TailState`] — the QT values of the matrix's last column. This lets
 /// callers with richer per-cell folds (e.g. `valmod-core`'s fused
 /// lower-bound harvest) become extension-ready without a second pass.
@@ -144,43 +144,48 @@ pub fn capture_cells<F>(
     mut visit: F,
 ) -> Result<TailState>
 where
-    F: FnMut(usize, usize, f64, f64),
+    F: FnMut(usize, usize, f64, f64, f64),
 {
     let ndp = ps.require_pairs(l)?;
     let radius = policy.radius(l);
     let mut last = vec![0.0f64; ndp.saturating_sub(radius)];
-    diagonal_cells(ps, l, &policy, ws, |i, j, q, d| {
-        visit(i, j, q, d);
+    diagonal_cells(ps, l, &policy, ws, |i, j, qt, q, d| {
+        visit(i, j, qt, q, d);
         if j == ndp - 1 {
             // The final cell of diagonal ndp−1−i: the chain head a future
             // extension continues from.
-            last[i] = q;
+            last[i] = qt;
         }
     })?;
     Ok(TailState { l, radius, n: ps.len(), offset_bits: ps.offset().to_bits(), qt: last })
 }
 
-/// Streams every cell the series growth added — `(i, j, qt, dist)` with
-/// `j ≥ old_ndp`, `j − i ≥ radius` — to `visit`, advancing the state to
-/// `ps.len()` samples. Cells arrive column by column (ascending `j`, then
-/// ascending `i`), each exactly once. Returns `(old_ndp, new_ndp)`.
+/// Streams every cell the series growth added — `(i, j, qt, q, dist)` with
+/// `j ≥ old_ndp`, `j − i ≥ radius`, the same tuple [`diagonal_cells`]
+/// hands out — to `visit`, advancing the state to `ps.len()` samples. Cells
+/// arrive column by column (ascending `j`, then ascending `i`), each
+/// exactly once. Returns `(old_ndp, new_ndp)`.
 ///
 /// `ps` must be the grown series profiled with the *same pinned offset* the
 /// state was captured under; anything else is rejected. This is the shared
 /// walk under [`extend_profile`] and the anchor-segment extension in
 /// `valmod-core` (which additionally harvests the new cells into its
-/// partial profiles).
+/// partial profiles). The per-offset statistics are filled once per call,
+/// so each cell costs the same multiply-only correlation as in the cold
+/// kernel.
 pub fn extend_cells<F>(
     state: &mut TailState,
     ps: &ProfiledSeries,
     mut visit: F,
 ) -> Result<(usize, usize)>
 where
-    F: FnMut(usize, usize, f64, f64),
+    F: FnMut(usize, usize, f64, f64, f64),
 {
     let (old_ndp, new_ndp) = state.check(ps)?;
     let (l, radius) = (state.l, state.radius);
     let t = ps.centered();
+    let stats =
+        if new_ndp > old_ndp { CorrStats::new(ps, l, new_ndp) } else { CorrStats::default() };
     for r in old_ndp..new_ndp {
         let Some(imax) = r.checked_sub(radius) else { continue };
         // Column r chains cell (i, r) from cell (i−1, r−1) of the previous
@@ -192,11 +197,7 @@ where
             state.qt[i] = state.qt[i - 1] - t[i - 1] * t[r - 1] + t[i + l - 1] * t[r + l - 1];
         }
         state.qt[0] = seed_qt(t, r, l);
-        let (mean_r, std_r) = (ps.mean_c(r, l), ps.std(r, l));
-        for (i, &q) in state.qt.iter().enumerate() {
-            let d = dist_from_qt(q, l, ps.mean_c(i, l), ps.std(i, l), mean_r, std_r);
-            visit(i, r, q, d);
-        }
+        stats.visit_line(r, 0, &state.qt, l, &mut |i, qt, q, d| visit(i, r, qt, q, d));
     }
     state.n = ps.len();
     Ok((old_ndp, new_ndp))
@@ -226,7 +227,7 @@ pub fn extend_profile(
     profile.mp.resize(new_ndp, f64::INFINITY);
     profile.ip.resize(new_ndp, usize::MAX);
     let (mp, ip) = (&mut profile.mp, &mut profile.ip);
-    extend_cells(state, ps, |i, j, _q, d| {
+    extend_cells(state, ps, |i, j, _qt, _q, d| {
         lex_update(&mut mp[i], &mut ip[i], d, j);
         lex_update(&mut mp[j], &mut ip[j], d, i);
     })?;

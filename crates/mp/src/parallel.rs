@@ -18,6 +18,7 @@ use valmod_data::error::Result;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::context::ProfiledSeries;
+use crate::distance::CorrStats;
 use crate::distance_profile::{dp_from_qt_into, self_qt};
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
@@ -59,13 +60,15 @@ pub fn row_chunks(ndp: usize, threads: usize) -> Vec<(usize, usize)> {
 /// The first row of the range is seeded with one FFT pass
 /// ([`self_qt`]); subsequent rows use the `O(1)`-per-cell STOMP update, with
 /// column 0 recovered by symmetry (`⟨T_i, T_0⟩ = ⟨T_0, T_i⟩`, a direct
-/// `O(ℓ)` dot product) so chunks never need each other's state. The caller
-/// must have validated `l` (e.g. via [`ProfiledSeries::require_pairs`]) and
-/// `row_start + row_len <= ndp`.
+/// `O(ℓ)` dot product) so chunks never need each other's state; they share
+/// the length's per-offset statistics `stats` (a [`CorrStats`] filled for
+/// `l`). The caller must have validated `l` (e.g. via
+/// [`ProfiledSeries::require_pairs`]) and `row_start + row_len <= ndp`.
 pub fn stomp_rows<F>(
     ps: &ProfiledSeries,
     l: usize,
     policy: &ExclusionPolicy,
+    stats: &CorrStats,
     row_start: usize,
     row_len: usize,
     mut visit: F,
@@ -92,7 +95,7 @@ pub fn stomp_rows<F>(
             // chunks).
             qt[0] = t[0..l].iter().zip(&t[i..i + l]).map(|(a, b)| a * b).sum();
         }
-        dp_from_qt_into(ps, &qt, i, l, policy, &mut dp);
+        dp_from_qt_into(stats, &qt, i, l, policy, &mut dp);
         visit(i, &dp, &qt);
     }
 }
@@ -206,7 +209,8 @@ mod tests {
         let l = 8;
         let t = ps.centered();
         let mut rows = Vec::new();
-        stomp_rows(&ps, l, &ExclusionPolicy::HALF, 3, 5, |i, dp, qt| {
+        let stats = CorrStats::new(&ps, l, ps.num_subsequences(l));
+        stomp_rows(&ps, l, &ExclusionPolicy::HALF, &stats, 3, 5, |i, dp, qt| {
             rows.push(i);
             assert_eq!(dp.len(), qt.len());
             // qt really is the dot-product row of the centered series.

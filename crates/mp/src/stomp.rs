@@ -13,6 +13,7 @@
 use valmod_data::error::Result;
 
 use crate::context::ProfiledSeries;
+use crate::distance::CorrStats;
 use crate::distance_profile::{dp_from_qt_into, profile_min};
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
@@ -31,6 +32,8 @@ pub struct StompDriver<'a> {
     /// First-row dot products `⟨T_{0,ℓ}, T_{j,ℓ}⟩`, which by symmetry seed
     /// `QT[0]` of every later row.
     qt_first: Vec<f64>,
+    /// Per-offset means and reciprocal σ, filled once for the whole pass.
+    stats: CorrStats,
     next_row: usize,
 }
 
@@ -43,7 +46,8 @@ impl<'a> StompDriver<'a> {
         let ndp = ps.require_pairs(l)?;
         let mut qt_first = Vec::new();
         crate::distance_profile::seed_qt_row_into(ps.centered(), l, ndp, &mut qt_first);
-        Ok(StompDriver { ps, l, policy, ndp, qt: qt_first.clone(), qt_first, next_row: 0 })
+        let stats = CorrStats::new(ps, l, ndp);
+        Ok(StompDriver { ps, l, policy, ndp, qt: qt_first.clone(), qt_first, stats, next_row: 0 })
     }
 
     /// Number of rows (= number of subsequences).
@@ -89,7 +93,7 @@ impl<'a> StompDriver<'a> {
             // Symmetry: QT_i[0] = ⟨T_0, T_i⟩ = qt_first[i].
             self.qt[0] = self.qt_first[i];
         }
-        dp_from_qt_into(self.ps, &self.qt, i, self.l, &self.policy, dp_out);
+        dp_from_qt_into(&self.stats, &self.qt, i, self.l, &self.policy, dp_out);
         self.next_row += 1;
         Some(i)
     }

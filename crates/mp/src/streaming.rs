@@ -12,11 +12,13 @@
 //! (distances are min-folded), which is exactly the semantics of the batch
 //! profile over the grown series.
 
+use std::collections::VecDeque;
+
 use valmod_data::error::{DataError, Result};
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::context::ProfiledSeries;
-use crate::distance::dist_from_qt;
+use crate::distance::{inv_std, CorrStats};
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
 use crate::stomp::stomp;
@@ -31,19 +33,25 @@ pub struct StreamingProfile {
     offset: f64,
     /// Centred samples.
     values: Vec<f64>,
-    /// Prefix sums of centred samples / their squares.
-    prefix: Vec<f64>,
-    prefix_sq: Vec<f64>,
-    /// `run[i]` = length of the constant run ending at sample `i`
-    /// (saturating), for exact σ = 0 on constant windows — mirrors
-    /// `RollingStats` so streamed and batch profiles classify flat
-    /// subsequences identically.
-    run: Vec<u32>,
+    /// The last `l + 1` prefix sums of the centred samples / their
+    /// squares: all the newest window's statistics need, since every
+    /// older window's are already in `stats`.
+    prefix: VecDeque<f64>,
+    prefix_sq: VecDeque<f64>,
+    /// Length of the constant run ending at the newest sample (saturating),
+    /// for exact σ = 0 on constant windows — mirrors `RollingStats` so
+    /// streamed and batch profiles classify flat subsequences identically.
+    run: u32,
     /// Dot products of the newest subsequence against all others.
     last_qt: Vec<f64>,
     /// The retired dot-product row, recycled as the next append's buffer so
     /// steady-state appends allocate nothing.
     qt_scratch: Vec<f64>,
+    /// Per-offset mean and reciprocal σ of every complete window. A
+    /// window's statistics never change once it is complete, so each
+    /// append computes one new entry and every cell reads two loads
+    /// instead of a σ (sqrt) and two divisions.
+    stats: CorrStats,
     mp: Vec<f64>,
     ip: Vec<usize>,
     /// Measurement sink; defaults to the no-op recorder.
@@ -56,42 +64,65 @@ impl StreamingProfile {
     pub fn new(seed: &[f64], l: usize, policy: ExclusionPolicy) -> Result<Self> {
         let ps = ProfiledSeries::from_values(seed)?;
         let initial = stomp(&ps, l, policy)?;
-        let offset = ps.offset();
-        let values: Vec<f64> = ps.centered().to_vec();
-        let mut prefix = Vec::with_capacity(values.len() + 1);
-        let mut prefix_sq = Vec::with_capacity(values.len() + 1);
-        prefix.push(0.0);
-        prefix_sq.push(0.0);
-        let (mut s, mut q) = (0.0, 0.0);
-        let mut run: Vec<u32> = Vec::with_capacity(values.len());
-        for (i, &v) in values.iter().enumerate() {
-            s += v;
-            q += v * v;
-            prefix.push(s);
-            prefix_sq.push(q);
-            let extends = i > 0 && v == values[i - 1];
-            run.push(if extends { run[i - 1].saturating_add(1) } else { 1 });
-        }
-        // Seed the newest-row dot products (the last subsequence vs all).
-        let ndp = values.len() - l + 1;
-        let last = ndp - 1;
-        let last_qt: Vec<f64> = (0..ndp)
-            .map(|j| values[last..last + l].iter().zip(&values[j..j + l]).map(|(a, b)| a * b).sum())
-            .collect();
-        Ok(StreamingProfile {
+        let centered = ps.centered();
+        let mut stream = StreamingProfile {
             l,
             policy,
-            offset,
-            values,
-            prefix,
-            prefix_sq,
-            run,
-            last_qt,
+            offset: ps.offset(),
+            values: Vec::with_capacity(centered.len()),
+            prefix: VecDeque::from([0.0]),
+            prefix_sq: VecDeque::from([0.0]),
+            run: 0,
+            last_qt: Vec::new(),
             qt_scratch: Vec::new(),
+            stats: CorrStats::default(),
             mp: initial.mp,
             ip: initial.ip,
             recorder: SharedRecorder::noop(),
-        })
+        };
+        for &v in centered {
+            stream.push_sample(v);
+        }
+        // Seed the newest-row dot products (the last subsequence vs all).
+        let values = &stream.values;
+        let last = values.len() - l;
+        stream.last_qt = (0..=last)
+            .map(|j| values[last..last + l].iter().zip(&values[j..j + l]).map(|(a, b)| a * b).sum())
+            .collect();
+        Ok(stream)
+    }
+
+    /// Pushes one centred sample and, once it completes a window, that
+    /// window's mean and reciprocal σ, taken from the rolling prefix sums.
+    fn push_sample(&mut self, v: f64) {
+        let extends = self.values.last().is_some_and(|&prev| prev == v);
+        self.run = if extends { self.run.saturating_add(1) } else { 1 };
+        self.values.push(v);
+        let back = |d: &VecDeque<f64>| *d.back().expect("prefix sums start at 0");
+        let (s, q) = (back(&self.prefix) + v, back(&self.prefix_sq) + v * v);
+        self.prefix.push_back(s);
+        self.prefix_sq.push_back(q);
+        let l = self.l;
+        if self.prefix.len() > l + 1 {
+            self.prefix.pop_front();
+            self.prefix_sq.pop_front();
+        }
+        if self.values.len() < l {
+            return;
+        }
+        // The newest window spans prefix sums front..=back.
+        let inv = 1.0 / l as f64;
+        let sum = s - self.prefix[0];
+        let mean = sum / l as f64;
+        let std = if self.run as usize >= l {
+            0.0 // exactly constant window
+        } else {
+            let m = sum * inv;
+            let ss = (q - self.prefix_sq[0]) * inv;
+            (ss - m * m).max(0.0).sqrt()
+        };
+        self.stats.inv_stds.push(inv_std(std, mean));
+        self.stats.means.push(mean);
     }
 
     /// Replaces the measurement sink. Each accepted [`append`](Self::append)
@@ -144,20 +175,6 @@ impl StreamingProfile {
         }
     }
 
-    fn mean(&self, i: usize) -> f64 {
-        (self.prefix[i + self.l] - self.prefix[i]) / self.l as f64
-    }
-
-    fn std(&self, i: usize) -> f64 {
-        if self.run[i + self.l - 1] as usize >= self.l {
-            return 0.0; // exactly constant window
-        }
-        let inv = 1.0 / self.l as f64;
-        let m = (self.prefix[i + self.l] - self.prefix[i]) * inv;
-        let ss = (self.prefix_sq[i + self.l] - self.prefix_sq[i]) * inv;
-        (ss - m * m).max(0.0).sqrt()
-    }
-
     /// Appends one sample, updating the profile in `O(n)`.
     pub fn append(&mut self, raw: f64) -> Result<()> {
         if !raw.is_finite() {
@@ -176,16 +193,7 @@ impl StreamingProfile {
     /// by [`append`](Self::append) and [`extend`](Self::extend) so the two
     /// produce bit-identical profiles; instrumentation lives in the callers.
     fn append_unchecked(&mut self, raw: f64) {
-        let v = raw - self.offset;
-        let extends = self.values.last().is_some_and(|&prev| prev == v);
-        self.values.push(v);
-        self.prefix.push(self.prefix.last().unwrap() + v);
-        self.prefix_sq.push(self.prefix_sq.last().unwrap() + v * v);
-        self.run.push(if extends {
-            self.run.last().copied().unwrap_or(0).saturating_add(1)
-        } else {
-            1
-        });
+        self.push_sample(raw - self.offset);
 
         let l = self.l;
         let n = self.values.len();
@@ -204,28 +212,24 @@ impl StreamingProfile {
         }
         qt[0] = t[0..l].iter().zip(&t[new..new + l]).map(|(a, b)| a * b).sum();
 
-        let radius = self.policy.radius(l);
-        let mean_new = self.mean(new);
-        let std_new = self.std(new);
         let mut best = f64::INFINITY;
         let mut arg = usize::MAX;
         self.mp.push(f64::INFINITY);
         self.ip.push(usize::MAX);
-        for (j, &q) in qt.iter().enumerate().take(ndp - 1) {
-            if new.abs_diff(j) < radius {
-                continue;
-            }
-            let d = dist_from_qt(q, l, self.mean(j), self.std(j), mean_new, std_new);
+        // Older offsets outside the exclusion zone: j ∈ [0, new − radius].
+        let end = (new + 1).saturating_sub(self.policy.radius(l).max(1));
+        let (mp, ip) = (&mut self.mp, &mut self.ip);
+        self.stats.visit_line(new, 0, &qt[..end], l, &mut |j, _qt, _q, d| {
             if d < best {
                 best = d;
                 arg = j;
             }
             // Symmetric fold into the older offset.
-            if d < self.mp[j] {
-                self.mp[j] = d;
-                self.ip[j] = new;
+            if d < mp[j] {
+                mp[j] = d;
+                ip[j] = new;
             }
-        }
+        });
         self.mp[new] = best;
         self.ip[new] = arg;
         self.qt_scratch = std::mem::replace(&mut self.last_qt, qt);

@@ -1,7 +1,8 @@
 //! A reusable arena of kernel scratch buffers.
 //!
 //! Every matrix-profile computation needs the same transient state: the
-//! FFT-seeded first dot-product row, per-offset rolling statistics, the
+//! directly-summed first dot-product row, per-offset statistics (centred
+//! means and the reciprocal σ the correlation formula multiplies by), the
 //! in-flight diagonal QT values, and (during lower-bound refinement) a
 //! recomputed dot-product row. [`Workspace`] owns all of it, plus a
 //! [`PlanCache`] of FFT plans, so a VALMOD sweep over ℓmin..ℓmax — dozens of
@@ -16,6 +17,7 @@
 use valmod_fft::PlanCache;
 
 use crate::context::ProfiledSeries;
+use crate::distance::CorrStats;
 
 /// Default diagonal block width (in diagonals) for the blocked STOMP kernel.
 ///
@@ -33,10 +35,9 @@ pub struct Workspace {
     pub(crate) qt_first: Vec<f64>,
     /// In-flight QT values of the current diagonal block.
     pub(crate) diag: Vec<f64>,
-    /// Per-offset subsequence means on the centred series.
-    pub(crate) means: Vec<f64>,
-    /// Per-offset subsequence standard deviations.
-    pub(crate) stds: Vec<f64>,
+    /// Per-offset centred means and flat-aware reciprocal σ of the
+    /// current length — everything the per-cell correlation reads.
+    pub(crate) stats: CorrStats,
     /// Generic dot-product row scratch (lower-bound refinement).
     pub(crate) qt: Vec<f64>,
     block: usize,
@@ -62,8 +63,7 @@ impl Workspace {
             plans: PlanCache::new(),
             qt_first: Vec::new(),
             diag: Vec::new(),
-            means: Vec::new(),
-            stds: Vec::new(),
+            stats: CorrStats::default(),
             qt: Vec::new(),
             block: block.max(1),
             uses: 0,

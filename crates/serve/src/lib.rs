@@ -83,7 +83,8 @@ pub use engine::{
 pub use error::{ServeError, ServeResult};
 pub use fragment::{FragmentCache, FragmentCacheStats, FragmentKey};
 pub use persist::{
-    Persistence, RecoveredSeries, Recovery, SnapshotMeta, DEFAULT_WAL_COMPACT_BYTES,
+    Fault, FaultHook, IoStep, Persistence, RecoveredSeries, Recovery, SnapshotMeta,
+    DEFAULT_WAL_COMPACT_BYTES,
 };
 pub use planner::{block_of, plan_segments, PlanStats, Segment};
 pub use protocol::{

@@ -51,9 +51,11 @@
 //! Once a WAL grows past the compaction threshold the store folds it into
 //! a fresh snapshot and truncates the log, bounding restart time.
 
+use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use valmod_data::io::codec::{put_f64, put_u32, put_u64, ByteCursor};
 use valmod_data::io::{fnv1a64, write_atomic};
@@ -123,11 +125,63 @@ pub struct Recovery {
     pub skipped: Vec<(String, String)>,
 }
 
+/// An I/O step of the persistence layer that a [`FaultHook`] can fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IoStep {
+    /// Writing an APPEND batch record to the WAL.
+    WalWrite,
+    /// Fsyncing the WAL after that write.
+    WalSync,
+    /// Truncating the WAL back to its pre-write length (and fsyncing it)
+    /// after a failed write or fsync.
+    WalRollback,
+    /// Writing a snapshot (LOAD, SAVE or WAL compaction).
+    Snapshot,
+}
+
+/// An injected I/O failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fault {
+    /// The OS error code the failing call reports (e.g. 28 = `ENOSPC`,
+    /// 5 = `EIO` on Linux).
+    pub errno: i32,
+    /// For [`IoStep::WalWrite`]: how many bytes of the record reach the
+    /// file before the write fails — a short write. Other steps ignore it.
+    pub written: usize,
+}
+
+impl Fault {
+    fn error(&self) -> std::io::Error {
+        std::io::Error::from_raw_os_error(self.errno)
+    }
+}
+
+/// Decides, for an I/O step on the named series, whether that step fails
+/// and how. Installed with
+/// [`SeriesStore::set_fault_hook`](crate::store::SeriesStore::set_fault_hook); the recovery
+/// oracle and the store tests use it to inject disk-full and fsync errors.
+pub type FaultHook = Arc<dyn Fn(IoStep, &str) -> Option<Fault> + Send + Sync>;
+
 /// Handle on one data directory; owns path layout and file formats.
-#[derive(Debug)]
 pub struct Persistence {
     dir: PathBuf,
     compact_bytes: u64,
+    fault_hook: Option<FaultHook>,
+    /// Series whose WAL holds bytes of a failed append that could not be
+    /// rolled back. Their appends are refused until a snapshot resets the
+    /// WAL or the process restarts (recovery then drops a torn orphan).
+    fenced: Mutex<HashSet<String>>,
+}
+
+impl std::fmt::Debug for Persistence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Persistence")
+            .field("dir", &self.dir)
+            .field("compact_bytes", &self.compact_bytes)
+            .field("fault_hook", &self.fault_hook.is_some())
+            .field("fenced", &self.fenced)
+            .finish()
+    }
 }
 
 impl Persistence {
@@ -135,7 +189,28 @@ impl Persistence {
     pub fn open(dir: impl Into<PathBuf>, compact_bytes: u64) -> ServeResult<Persistence> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Persistence { dir, compact_bytes: compact_bytes.max(1) })
+        Ok(Persistence {
+            dir,
+            compact_bytes: compact_bytes.max(1),
+            fault_hook: None,
+            fenced: Mutex::new(HashSet::new()),
+        })
+    }
+
+    /// Installs a hook that can fail individual I/O steps (fault
+    /// injection for tests and the recovery oracle).
+    pub(crate) fn set_fault_hook(&mut self, hook: FaultHook) {
+        self.fault_hook = Some(hook);
+    }
+
+    /// Whether appends to `name` are refused because a failed WAL write
+    /// could not be rolled back.
+    pub(crate) fn is_fenced(&self, name: &str) -> bool {
+        self.fenced.lock().expect("fence lock").contains(name)
+    }
+
+    fn fault(&self, step: IoStep, name: &str) -> Option<Fault> {
+        self.fault_hook.as_ref().and_then(|hook| hook(step, name))
     }
 
     /// The data directory.
@@ -167,22 +242,67 @@ impl Persistence {
         meta: &SnapshotMeta,
         values: &[f64],
     ) -> ServeResult<()> {
+        if let Some(fault) = self.fault(IoStep::Snapshot, name) {
+            return Err(ServeError::Io(fault.error()));
+        }
         write_atomic(self.snapshot_path(name), &encode_snapshot(meta, values))?;
         // Truncate rather than delete: an open append handle elsewhere
         // would resurrect a deleted file's contents on some platforms.
         File::create(self.wal_path(name))?.sync_all()?;
+        // The reset WAL no longer holds any orphan bytes.
+        self.fenced.lock().expect("fence lock").remove(name);
         Ok(())
     }
 
     /// Appends one batch record to the series' WAL and fsyncs it. Must be
     /// called *before* the batch is applied in memory; `version` is the
     /// version the series will have once the batch applies.
+    ///
+    /// A failed `write_all` or `sync_data` can leave part or all of the
+    /// record in the file while the caller treats the batch as never
+    /// applied. The next acknowledged append would then log the same
+    /// version again, and replay would apply the orphan, read the
+    /// acknowledged record as a version gap, and truncate every later
+    /// batch. So on any failure the WAL is truncated back to its pre-write
+    /// length and fsynced before the error is returned. If that rollback
+    /// fails too, the series is fenced: its appends are refused (until a
+    /// snapshot resets the WAL or the process restarts), so no later batch
+    /// can be acknowledged behind the orphan. The success path costs one
+    /// `fstat` more than before and no extra fsync.
     pub fn log_append(&self, name: &str, version: u64, samples: &[f64]) -> ServeResult<()> {
+        if self.is_fenced(name) {
+            return Err(fenced_error(name));
+        }
         let record = encode_wal_record(version, samples);
         let mut f = OpenOptions::new().create(true).append(true).open(self.wal_path(name))?;
-        f.write_all(&record)?;
-        f.sync_data()?;
-        Ok(())
+        let before = f.metadata()?.len();
+        let Err(err) = self.write_record(&mut f, name, &record) else { return Ok(()) };
+        if self.rollback(&f, name, before).is_err() {
+            self.fenced.lock().expect("fence lock").insert(name.to_string());
+        }
+        Err(ServeError::Io(err))
+    }
+
+    fn write_record(&self, f: &mut File, name: &str, record: &[u8]) -> std::io::Result<()> {
+        match self.fault(IoStep::WalWrite, name) {
+            Some(fault) => {
+                f.write_all(&record[..fault.written.min(record.len())])?;
+                return Err(fault.error());
+            }
+            None => f.write_all(record)?,
+        }
+        match self.fault(IoStep::WalSync, name) {
+            Some(fault) => Err(fault.error()),
+            None => f.sync_data(),
+        }
+    }
+
+    fn rollback(&self, f: &File, name: &str, len: u64) -> std::io::Result<()> {
+        if let Some(fault) = self.fault(IoStep::WalRollback, name) {
+            return Err(fault.error());
+        }
+        f.set_len(len)?;
+        f.sync_all()
     }
 
     /// Current WAL size in bytes (0 when the file does not exist).
@@ -281,6 +401,12 @@ impl Persistence {
             truncated_tail: truncated,
         })
     }
+}
+
+fn fenced_error(name: &str) -> ServeError {
+    ServeError::Io(std::io::Error::other(format!(
+        "series '{name}' is read-only until restart: a failed WAL append could not be rolled back"
+    )))
 }
 
 /// Encodes a snapshot body (checksum included).

@@ -55,7 +55,7 @@ use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
 use valmod_obs::SharedRecorder;
 
 use crate::error::{ServeError, ServeResult};
-use crate::persist::{Persistence, SnapshotMeta};
+use crate::persist::{FaultHook, Persistence, SnapshotMeta};
 
 /// Default stripe count for stores built without an explicit choice.
 pub const DEFAULT_STRIPES: usize = 8;
@@ -391,6 +391,14 @@ impl SeriesStore {
         Ok(store)
     }
 
+    /// Installs an I/O fault hook on a durable store's persistence layer
+    /// (see [`crate::persist::FaultHook`]); a no-op for in-memory stores.
+    pub fn set_fault_hook(&mut self, hook: FaultHook) {
+        if let Some(p) = self.persist.as_mut() {
+            p.set_fault_hook(hook);
+        }
+    }
+
     /// Number of stripes in the table.
     pub fn stripe_count(&self) -> usize {
         self.stripes.len()
@@ -466,9 +474,12 @@ impl SeriesStore {
     /// in-memory state changes, so an acknowledged append survives a crash
     /// at any later point. The whole sequence runs under the **series'**
     /// write lock only — appends to other series proceed in parallel.
-    /// Past the compaction threshold the WAL is folded into a fresh
-    /// snapshot. Records `serve.wal.appends` / `serve.snapshot.writes` on
-    /// `recorder`. Returns `(version, len)`.
+    /// A failed WAL write is rolled back (or the series fenced read-only,
+    /// see [`Persistence::log_append`]) and reported without touching the
+    /// series. Past the compaction threshold the WAL is folded into a fresh
+    /// snapshot; a compaction failure does not fail the already-applied
+    /// append. Records `serve.wal.appends`, `serve.snapshot.writes` and
+    /// `serve.snapshot.failures` on `recorder`. Returns `(version, len)`.
     pub fn append(
         &self,
         name: &str,
@@ -494,13 +505,19 @@ impl SeriesStore {
             }
             let version = series.append(samples)?;
             let len = series.len();
+            slot.note_mutation(version, len);
             if let Some(p) = &self.persist {
                 if p.wal_bytes(name) > p.compact_bytes() {
-                    p.write_snapshot(name, &series.snapshot_meta(), series.values())?;
-                    recorder.add("serve.snapshot.writes", 1);
+                    // The batch is durable in the WAL and applied, so it is
+                    // acknowledged whatever compaction does; a failure only
+                    // leaves the WAL long, and the next append past the
+                    // threshold retries.
+                    match p.write_snapshot(name, &series.snapshot_meta(), series.values()) {
+                        Ok(()) => recorder.add("serve.snapshot.writes", 1),
+                        Err(_) => recorder.add("serve.snapshot.failures", 1),
+                    }
                 }
             }
-            slot.note_mutation(version, len);
             return Ok((version, len));
         }
     }
@@ -574,6 +591,8 @@ impl SeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{Fault, IoStep};
+    use std::sync::atomic::AtomicBool;
     use valmod_data::generators::random_walk;
     use valmod_mp::stomp::stomp;
 
@@ -585,6 +604,90 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("valmod_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A fault hook that fails `step` with `fault` while the returned flag
+    /// is set.
+    fn armed_fault(step: IoStep, fault: Fault) -> (FaultHook, Arc<AtomicBool>) {
+        let armed = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&armed);
+        let hook: FaultHook =
+            Arc::new(move |s, _| (s == step && flag.load(Ordering::SeqCst)).then_some(fault));
+        (hook, armed)
+    }
+
+    #[test]
+    fn compaction_failure_after_apply_still_acknowledges_the_append() {
+        let dir = tmp_dir("compact_fail");
+        let registry = valmod_obs::Registry::new();
+        let rec = SharedRecorder::from(registry.clone());
+        let values = random_walk(150, 3);
+        {
+            // Threshold 1 byte: every append crosses it and compacts.
+            let mut store = SeriesStore::open(&dir, 1, &rec).unwrap();
+            let (hook, armed) = armed_fault(IoStep::Snapshot, Fault { errno: 28, written: 0 });
+            store.set_fault_hook(hook);
+            store
+                .load("a", values[..100].to_vec(), &[], ExclusionPolicy::HALF, false, &rec)
+                .unwrap();
+            armed.store(true, Ordering::SeqCst);
+            let (v, len) = store.append("a", &values[100..120], &rec).unwrap();
+            assert_eq!((v, len), (2, 120), "the applied append is acknowledged");
+            let slot = store.get("a").unwrap();
+            assert_eq!((slot.version(), slot.len()), (2, 120), "mirrors follow the apply");
+            assert_eq!(registry.snapshot().counter("serve.snapshot.failures"), Some(1));
+            assert!(store.persist.as_ref().unwrap().wal_bytes("a") > 0, "batch stays in the WAL");
+            // The next crossing retries compaction, which now succeeds.
+            armed.store(false, Ordering::SeqCst);
+            store.append("a", &values[120..150], &rec).unwrap();
+            assert_eq!(store.persist.as_ref().unwrap().wal_bytes("a"), 0);
+        }
+        let store = SeriesStore::open(&dir, 1, &noop()).unwrap();
+        let slot = store.get("a").unwrap();
+        let recovered = slot.read();
+        assert_eq!(recovered.version(), 3);
+        assert_eq!(recovered.values(), &values[..]);
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unrecoverable_wal_rollback_fences_the_series_until_restart() {
+        let dir = tmp_dir("wal_fence");
+        let values = random_walk(140, 4);
+        {
+            let mut store = SeriesStore::open(&dir, u64::MAX, &noop()).unwrap();
+            // A short write (disk full) whose rollback also fails.
+            let armed = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&armed);
+            store.set_fault_hook(Arc::new(move |step, _| match step {
+                IoStep::WalWrite | IoStep::WalRollback if flag.load(Ordering::SeqCst) => {
+                    Some(Fault { errno: 28, written: 13 })
+                }
+                _ => None,
+            }));
+            store
+                .load("a", values[..100].to_vec(), &[], ExclusionPolicy::HALF, false, &noop())
+                .unwrap();
+            store.append("a", &values[100..110], &noop()).unwrap();
+            armed.store(true, Ordering::SeqCst);
+            assert!(store.append("a", &values[110..120], &noop()).is_err());
+            armed.store(false, Ordering::SeqCst);
+            // Fenced: nothing can be acknowledged behind the orphan bytes.
+            let err = store.append("a", &values[110..120], &noop()).unwrap_err();
+            assert!(err.to_string().contains("read-only"), "{err}");
+            assert_eq!(store.get("a").unwrap().version(), 2);
+            assert!(store.persist.as_ref().unwrap().is_fenced("a"));
+        }
+        // Restart: the torn orphan is truncated and the series writable.
+        let store = SeriesStore::open(&dir, u64::MAX, &noop()).unwrap();
+        assert_eq!(store.get("a").unwrap().read().values(), &values[..110]);
+        let (v, len) = store.append("a", &values[110..140], &noop()).unwrap();
+        assert_eq!((v, len), (3, 140));
+        drop(store);
+        let store = SeriesStore::open(&dir, u64::MAX, &noop()).unwrap();
+        assert_eq!(store.get("a").unwrap().read().values(), &values[..]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
