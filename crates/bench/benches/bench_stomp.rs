@@ -5,14 +5,16 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use valmod_core::compute_mp::{compute_matrix_profile, compute_matrix_profile_parallel};
-use valmod_core::sub_mp::{compute_sub_mp, compute_sub_mp_threaded};
+use valmod_core::compute_mp::{compute_matrix_profile, compute_matrix_profile_with, MpPass};
+use valmod_core::sub_mp::{compute_sub_mp, compute_sub_mp_with};
 use valmod_data::datasets::Dataset;
 use valmod_mp::parallel::stomp_parallel;
 use valmod_mp::stamp::stamp;
 use valmod_mp::stomp::stomp;
 use valmod_mp::streaming::StreamingProfile;
+use valmod_mp::workspace::Workspace;
 use valmod_mp::{ExclusionPolicy, ProfiledSeries};
+use valmod_obs::SharedRecorder;
 
 const N: usize = 2_000;
 const L: usize = 64;
@@ -64,12 +66,14 @@ fn bench_sub_mp_step(c: &mut Criterion) {
                 b.iter_batched(
                     || state.partials.clone(),
                     |mut partials| {
-                        black_box(compute_sub_mp_threaded(
+                        black_box(compute_sub_mp_with(
                             &ps,
                             &mut partials,
                             L + 1,
                             ExclusionPolicy::HALF,
                             threads,
+                            &SharedRecorder::noop(),
+                            &mut Workspace::new(),
                         ))
                     },
                     criterion::BatchSize::LargeInput,
@@ -98,11 +102,10 @@ fn bench_parallel_and_streaming(c: &mut Criterion) {
             BenchmarkId::new("compute_mp_parallel_p50", threads),
             &threads,
             |b, &threads| {
+                let pass = MpPass::new(L, 50, ExclusionPolicy::HALF).threads(threads);
+                let (noop, mut ws) = (SharedRecorder::noop(), Workspace::new());
                 b.iter(|| {
-                    black_box(
-                        compute_matrix_profile_parallel(&ps, L, 50, ExclusionPolicy::HALF, threads)
-                            .unwrap(),
-                    )
+                    black_box(compute_matrix_profile_with(&ps, &pass, &noop, &mut ws).unwrap())
                 })
             },
         );

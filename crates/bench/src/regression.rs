@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use valmod_core::prelude::*;
+use valmod_core::{compute_matrix_profile_rows, compute_matrix_profile_with, MpPass};
 use valmod_data::generators::random_walk;
 use valmod_mp::diagonal::stomp_diagonal_ws;
 use valmod_mp::stomp::stomp_row;
@@ -180,31 +181,23 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
         });
     }
 
-    // --- Harvesting matrix profile: row-chunked (the pre-fusion path,
-    // still used by the parallel harvest) vs the fused diagonal harvest. ---
+    // --- Harvesting matrix profile: the row-streamed reference harvest
+    // (`compute_matrix_profile_rows`, the pre-fusion traversal) vs the fused
+    // diagonal harvest. ---
     let (hn, hl, hp) = if smoke { (1_024, 32, 8) } else { (8_192, 128, 50) };
+    let noop = SharedRecorder::noop();
+    let harvest_pass = MpPass::new(hl, hp, ExclusionPolicy::HALF);
     {
         let ps = ProfiledSeries::from_values(&random_walk(hn, SEED)).unwrap();
         let iters = iters_for(hn);
         let mut sink = 0usize;
-        // threads=2 forces the row-streamed chunk kernel even on 1 core;
-        // it is the surviving pre-fusion implementation.
         let row_ms = median_ms(iters, || {
-            let h =
-                valmod_core::compute_matrix_profile_parallel(&ps, hl, hp, ExclusionPolicy::HALF, 2)
-                    .unwrap();
+            let h = compute_matrix_profile_rows(&ps, hl, hp, ExclusionPolicy::HALF).unwrap();
             sink += std::hint::black_box(h.partials.len());
         });
         let mut hws = Workspace::new();
         let fused_ms = median_ms(iters, || {
-            let h = valmod_core::compute_matrix_profile_ws(
-                &ps,
-                hl,
-                hp,
-                ExclusionPolicy::HALF,
-                &mut hws,
-            )
-            .unwrap();
+            let (h, _) = compute_matrix_profile_with(&ps, &harvest_pass, &noop, &mut hws).unwrap();
             sink += std::hint::black_box(h.partials.len());
         });
         std::hint::black_box(sink);
@@ -233,14 +226,7 @@ pub fn run_suite(smoke: bool) -> RegressionReport {
             sink += std::hint::black_box(p.mp[0]);
         });
         let harvest_ms = median_ms(iters, || {
-            let h = valmod_core::compute_matrix_profile_ws(
-                &ps,
-                hl,
-                hp,
-                ExclusionPolicy::HALF,
-                &mut kws,
-            )
-            .unwrap();
+            let (h, _) = compute_matrix_profile_with(&ps, &harvest_pass, &noop, &mut kws).unwrap();
             sink += std::hint::black_box(h.profile.mp[0]);
         });
         std::hint::black_box(sink);

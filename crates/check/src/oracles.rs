@@ -1,26 +1,27 @@
 //! Differential oracles: independent implementations answering the same
 //! question must agree.
 //!
-//! Most comparisons are tolerance-based: the row-chunked harvest kernels
-//! legitimately differ from sequential ones by sub-1e-12 rounding at chunk
-//! seams, and tie-breaks between equal-distance pairs may pick different
-//! indices. A divergence is only reported when *distances* disagree beyond
-//! tolerance or when one side finds a motif the other says does not exist.
+//! Comparisons between *different algorithms* (VALMOD against STOMP per
+//! length, streaming against batch) are tolerance-based: tie-breaks between
+//! equal-distance pairs may pick different indices, so a divergence is only
+//! reported when *distances* disagree beyond tolerance or when one side
+//! finds a motif the other says does not exist.
 //!
-//! The exceptions are [`check_diagonal_vs_row`] and
-//! [`check_harvest_vs_row`]: the diagonal-blocked STOMP kernel *guarantees*
-//! bit-identity with the row streamer (see `valmod_mp::diagonal`), and the
-//! fused LB harvest on top of it with the row-streamed harvest, so those
-//! oracles compare `mp` bit patterns, `ip` indices and (for the harvest)
-//! every retained partial-profile entry exactly, across several block
-//! widths.
+//! Comparisons between *implementations of one algorithm* are bit-exact:
+//! [`check_diagonal_vs_row`] (the diagonal-blocked STOMP kernel against the
+//! row streamer, see `valmod_mp::diagonal`), [`check_harvest_vs_row`] (the
+//! fused LB harvest at several block widths and thread counts against the
+//! row-streamed harvest, every retained partial-profile entry included) and
+//! [`check_parallel_vs_sequential`] (threaded STOMP and threaded VALMOD
+//! against their one-thread runs) compare `mp` bit patterns and `ip`
+//! indices exactly — thread count must not change a single output bit.
 
 use valmod_baselines::stomp_range;
 use valmod_core::lb::lb_scale;
 use valmod_core::profile::PartialProfile;
 use valmod_core::{
-    compute_matrix_profile, compute_matrix_profile_rows, compute_matrix_profile_ws, Valmod,
-    ValmodConfig,
+    compute_matrix_profile, compute_matrix_profile_rows, compute_matrix_profile_with,
+    LengthProfile, MpPass, Valmod, ValmodConfig,
 };
 use valmod_data::rng::Xoshiro256;
 use valmod_mp::diagonal::{stomp_diagonal_parallel_ws, stomp_diagonal_ws};
@@ -30,6 +31,7 @@ use valmod_mp::parallel::stomp_parallel;
 use valmod_mp::stomp::{stomp, stomp_row};
 use valmod_mp::workspace::Workspace;
 use valmod_mp::{ExclusionPolicy, ProfiledSeries, StreamingProfile};
+use valmod_obs::SharedRecorder;
 use valmod_serve::engine::{EngineConfig, QueryEngine, QueryKind, QuerySpec};
 use valmod_serve::Value;
 
@@ -180,10 +182,11 @@ pub fn check_diagonal_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
 
 /// The fused diagonal LB harvest against the row-streamed one — *bit-exact*
 /// on `mp`/`ip` and on every retained `(neighbor, qt, dist, lb_key)` of
-/// every partial profile, across block widths 1, 7 and wider than any case.
-/// Both harvests key each pair by `lb_key` of the same bitwise-symmetric
-/// correlation, and the heap's strict total order makes the retained set
-/// independent of visit order, so nothing may differ in a single bit.
+/// every partial profile, across block widths 1, 7 and wider than any case
+/// and across 2- and 3-worker passes (one shared `listDP`). Every pass keys
+/// each pair by `lb_key` of the same bitwise-symmetric correlation, and the
+/// heap's strict total order makes the retained set independent of visit
+/// order, so nothing may differ in a single bit.
 pub fn check_harvest_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
     let (l, p, policy) = (case.l_min, case.p, ExclusionPolicy::HALF);
     let fail = |what: String| Some(diverge(case, "harvest-vs-row", what));
@@ -200,20 +203,22 @@ pub fn check_harvest_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Divergen
         v.sort_unstable();
         v
     };
-    for block in [1usize, 7, 1 << 20] {
-        let fused =
-            match compute_matrix_profile_ws(ps, l, p, policy, &mut Workspace::with_block(block)) {
-                Ok(h) => h,
-                Err(e) => return fail(format!("block={block}: fused harvest: {e}")),
-            };
+    for (block, threads) in [(1usize, 1usize), (7, 1), (1 << 20, 1), (7, 2), (7, 3)] {
+        let what = format!("block={block} threads={threads}");
+        let pass = MpPass::new(l, p, policy).threads(threads);
+        let mut ws = Workspace::with_block(block);
+        let fused = match compute_matrix_profile_with(ps, &pass, &SharedRecorder::noop(), &mut ws) {
+            Ok((h, _)) => h,
+            Err(e) => return fail(format!("{what}: fused harvest: {e}")),
+        };
         let (a, b) = (&fused.profile, &rows.profile);
         if a.len() != b.len() || fused.partials.len() != rows.partials.len() {
-            return fail(format!("block={block}: row counts differ"));
+            return fail(format!("{what}: row counts differ"));
         }
         for i in 0..b.len() {
             if a.mp[i].to_bits() != b.mp[i].to_bits() || a.ip[i] != b.ip[i] {
                 return fail(format!(
-                    "block={block}: profile row {i} at l={l}: fused ({}, {}) vs row ({}, {})",
+                    "{what}: profile row {i} at l={l}: fused ({}, {}) vs row ({}, {})",
                     a.mp[i], a.ip[i], b.mp[i], b.ip[i]
                 ));
             }
@@ -221,7 +226,7 @@ pub fn check_harvest_vs_row(case: &Case, ps: &ProfiledSeries) -> Option<Divergen
         for (pf, pr) in fused.partials.iter().zip(&rows.partials) {
             if entries(pf) != entries(pr) {
                 return fail(format!(
-                    "block={block}: retained entries of profile {} differ at l={l} p={p}",
+                    "{what}: retained entries of profile {} differ at l={l} p={p}",
                     pr.owner
                 ));
             }
@@ -264,34 +269,54 @@ pub fn check_valmod_vs_stomp(case: &Case, ps: &ProfiledSeries) -> Option<Diverge
     None
 }
 
-/// The chunked parallel kernel against the sequential row streamer, element
-/// by element over the full profile at `l_min`.
+/// Thread count against one thread, *bit-exact*: 3-worker STOMP against
+/// the sequential kernel over the full profile at `l_min`, and 2- and
+/// 3-worker VALMOD segments against the one-thread segment over the case's
+/// range — every length's `mp` bits, `ip`, method and row accounting.
 pub fn check_parallel_vs_sequential(case: &Case, ps: &ProfiledSeries) -> Option<Divergence> {
     let l = case.l_min;
+    let fail = |what: String| Some(diverge(case, "parallel-vs-sequential", what));
     let seq = match stomp(ps, l, ExclusionPolicy::HALF) {
         Ok(p) => p,
-        Err(e) => return Some(diverge(case, "parallel-vs-sequential", format!("stomp: {e}"))),
+        Err(e) => return fail(format!("stomp: {e}")),
     };
     let par = match stomp_parallel(ps, l, ExclusionPolicy::HALF, 3) {
         Ok(p) => p,
-        Err(e) => return Some(diverge(case, "parallel-vs-sequential", format!("parallel: {e}"))),
+        Err(e) => return fail(format!("parallel: {e}")),
     };
     if seq.len() != par.len() {
-        return Some(diverge(
-            case,
-            "parallel-vs-sequential",
-            format!("profile lengths differ: {} vs {}", seq.len(), par.len()),
-        ));
+        return fail(format!("profile lengths differ: {} vs {}", seq.len(), par.len()));
     }
     for i in 0..seq.len() {
-        let (a, b) = (seq.mp[i], par.mp[i]);
-        let agree = (a.is_finite() == b.is_finite()) && (!a.is_finite() || close(a, b));
-        if !agree {
-            return Some(diverge(
-                case,
-                "parallel-vs-sequential",
-                format!("row {i} at l={l}: sequential {a} vs parallel {b}"),
+        if seq.mp[i].to_bits() != par.mp[i].to_bits() || seq.ip[i] != par.ip[i] {
+            return fail(format!(
+                "row {i} at l={l}: sequential ({}, {}) vs parallel ({}, {})",
+                seq.mp[i], seq.ip[i], par.mp[i], par.ip[i]
             ));
+        }
+    }
+    let runner = Valmod::new(case.l_min, case.l_max).p(case.p);
+    let segment =
+        |threads: usize| runner.clone().threads(threads).run_lengths_on(ps, case.l_min, case.l_max);
+    let base = match segment(1) {
+        Ok(f) => f,
+        Err(e) => return fail(format!("valmod threads=1: {e}")),
+    };
+    let key = |f: &LengthProfile| {
+        let mp: Vec<u64> = f.mp.iter().map(|d| d.to_bits()).collect();
+        let rows = (f.known_entries, f.valid_rows, f.nonvalid_rows, f.recomputed_rows);
+        (f.l, f.method, mp, f.ip.clone(), rows)
+    };
+    for threads in [2usize, 3] {
+        let frags = match segment(threads) {
+            Ok(f) => f,
+            Err(e) => return fail(format!("valmod threads={threads}: {e}")),
+        };
+        if frags.len() != base.len() {
+            return fail(format!("valmod threads={threads}: fragment counts differ"));
+        }
+        if let Some((a, _)) = base.iter().zip(&frags).find(|(a, b)| key(a) != key(b)) {
+            return fail(format!("valmod threads={threads}: length {} differs", a.l));
         }
     }
     None

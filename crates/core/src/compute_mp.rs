@@ -1,17 +1,32 @@
 //! `ComputeMatrixProfile` (paper Algorithm 3): STOMP plus lower-bound
 //! harvesting.
 //!
-//! The sequential path fuses the harvest into the diagonal-blocked kernel
-//! ([`valmod_mp::diagonal::diagonal_cells`]): every visited cell `(i, j)`
-//! folds into both rows' minima *and* both rows' [`PartialProfile`]s
-//! (`listDP` in the paper) in one cache-resident pass, reusing a
-//! [`Workspace`]'s buffers across calls. Total cost `O(n² log p)`. The
-//! heap's strict total order makes the retained set independent of visit
-//! order, so the result matches the row-streamed harvest
-//! ([`compute_matrix_profile_rows`]: `harvest_row` over
-//! [`valmod_mp::stomp::StompDriver`] rows) bit for bit — `harvest_row`
-//! also serves the chunked parallel path and the refinement step of
-//! `ComputeSubMP`.
+//! One pass computes the matrix profile and fills `listDP` (one
+//! [`PartialProfile`] per row) at the same time: the harvest rides the
+//! diagonal-blocked traversal driver
+//! ([`valmod_mp::diagonal::fold_diagonals`]), which hands every visited
+//! cell `(i, j)` to the harvest once, and the harvest offers the pair to
+//! both rows' heaps in the same cache-resident pass. Total cost
+//! `O(n² log p)`. [`compute_matrix_profile_with`] is the one pass entry
+//! point; an [`MpPass`] says which length, `p`, policy, thread count and
+//! whether to capture the [`TailState`] for later extension.
+//!
+//! ## Any thread count, the same bits
+//!
+//! With one thread the fold holds the heaps by `&mut` and takes no lock or
+//! atomic. With more, the workers walk disjoint diagonal ranges into their
+//! own `mp`/`ip` (merged lexicographically by the driver) and offer into
+//! one shared `listDP`: each row's heap sits behind its own lock, and its
+//! admit bound is mirrored in an atomic that offers read without the lock.
+//! Bounds only fall, so a stale read only lets an offer through to the
+//! exact [`PartialProfile::offer`] check — it never drops one. The heap's
+//! strict total order makes the retained *set* independent of offer order,
+//! so every thread count retains bit-identical entries and matches the
+//! row-streamed harvest ([`compute_matrix_profile_rows`]: `harvest_row`
+//! over [`valmod_mp::stomp::StompDriver`] rows) bit for bit. Only the
+//! heaps' internal layout may differ between runs; nothing downstream reads
+//! it (the sub-MP advance and the motif-set expansion break ties by
+//! neighbour offset).
 //!
 //! ## The harvest works in correlation space
 //!
@@ -20,22 +35,25 @@
 //! of [`valmod_mp::distance::correlation`]; the pair's Eq. 2 key is
 //! [`lb_key`]`(q)` (a flat side arrives as `q = 1`, key 0). No distance is
 //! turned back into a correlation, and the key has no branch. Offers are
-//! screened against a contiguous `worst_key[j]` array holding each
-//! profile's admit bound (the root's key once the heap is full), so once
-//! heaps fill, most offers cost one compare and never touch a heap. One
-//! fold —
-//! `HarvestFold` for cell streams, `harvest_row` for single rows, both
-//! over the same offer screen — serves every harvest site: the fused and
-//! capturing harvests, `SegmentState::extend`, the parallel path, the
-//! Alg. 4 refinement and `complete_profiles`.
+//! screened against each profile's admit bound (the root's key once the
+//! heap is full), so once heaps fill, most offers cost one compare and
+//! never touch a heap. One screen — `HarvestFold` for cell streams,
+//! `harvest_row` for single rows, the shared heaps' lock-free read for
+//! threaded passes — serves every harvest site: the fused and capturing
+//! harvests, `SegmentState::extend`, the Alg. 4 refinement and
+//! `complete_profiles`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use valmod_data::error::Result;
-use valmod_mp::diagonal::{diagonal_cells, lex_update};
+use valmod_mp::diagonal::fold_diagonals;
 use valmod_mp::distance::CorrStats;
 use valmod_mp::distance_profile::profile_min;
 use valmod_mp::exclusion::ExclusionPolicy;
+use valmod_mp::extend::TailState;
 use valmod_mp::matrix_profile::MatrixProfile;
-use valmod_mp::parallel::{row_chunks, stomp_rows};
+use valmod_mp::parallel::resolve_threads;
 use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
@@ -53,6 +71,44 @@ pub struct MpWithProfiles {
     pub partials: Vec<PartialProfile>,
 }
 
+/// What one harvesting pass computes and how: the pass descriptor of
+/// [`compute_matrix_profile_with`]. Only `l`, `p` and `policy` change the
+/// result; `threads` and `capture` change how it is produced and what comes
+/// back with it.
+#[derive(Debug, Clone, Copy)]
+pub struct MpPass {
+    /// Subsequence length of the profile.
+    pub l: usize,
+    /// Lower-bound entries retained per row.
+    pub p: usize,
+    /// Trivial-match exclusion policy.
+    pub policy: ExclusionPolicy,
+    /// Traversal workers (1 = sequential, 0 = all available cores).
+    pub threads: usize,
+    /// Also return the [`TailState`] that lets the result be extended under
+    /// appends instead of recomputed.
+    pub capture: bool,
+}
+
+impl MpPass {
+    /// A sequential, non-capturing pass.
+    pub fn new(l: usize, p: usize, policy: ExclusionPolicy) -> Self {
+        MpPass { l, p, policy, threads: 1, capture: false }
+    }
+
+    /// Sets the worker count.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Sets whether the pass captures its [`TailState`].
+    pub fn capture(mut self, capture: bool) -> Self {
+        self.capture = capture;
+        self
+    }
+}
+
 /// Offers `entry` to `prof` unless its key exceeds `*bound`, the profile's
 /// cached `PartialProfile::admit_bound`; keeps the bound current. Once a
 /// heap fills, most offers fail this one comparison against a contiguous
@@ -67,39 +123,28 @@ fn offer_bounded(prof: &mut PartialProfile, bound: &mut f64, entry: DpEntry) {
     }
 }
 
-/// The key-and-offer fold of the fused harvests (the diagonal traversal,
-/// its capturing variant and `SegmentState::extend`): every visited cell
-/// `(i, j)` min-folds into both rows of the profile and offers the pair to
+/// The key-and-offer fold of a single-owner harvest (the one-worker pass
+/// and `SegmentState::extend`): every visited cell `(i, j)` is offered to
 /// both rows' partial profiles under one Eq. 2 key, [`lb_key`] of the
 /// correlation the traversal hands over. `worst_key[j]` caches each
 /// profile's admit bound in one contiguous array.
 pub(crate) struct HarvestFold<'a> {
     l: usize,
-    mp: &'a mut [f64],
-    ip: &'a mut [usize],
     partials: &'a mut [PartialProfile],
     worst_key: Vec<f64>,
 }
 
 impl<'a> HarvestFold<'a> {
-    /// A fold into `mp`/`ip` and `partials`, all over the same rows and
-    /// anchored at `l`.
-    pub(crate) fn new(
-        l: usize,
-        mp: &'a mut [f64],
-        ip: &'a mut [usize],
-        partials: &'a mut [PartialProfile],
-    ) -> Self {
+    /// A fold into `partials`, anchored at `l`.
+    pub(crate) fn new(l: usize, partials: &'a mut [PartialProfile]) -> Self {
         let worst_key = partials.iter().map(PartialProfile::admit_bound).collect();
-        HarvestFold { l, mp, ip, partials, worst_key }
+        HarvestFold { l, partials, worst_key }
     }
 
-    /// Folds one cell `(i, j, qt, q, dist)` as streamed by
-    /// [`diagonal_cells`] / `extend_cells`.
+    /// Offers one cell `(i, j, qt, q, dist)` as streamed by
+    /// [`fold_diagonals`] / `extend_cells` to both of its rows.
     #[inline(always)]
     pub(crate) fn cell(&mut self, i: usize, j: usize, qt: f64, q: f64, dist: f64) {
-        lex_update(&mut self.mp[i], &mut self.ip[i], dist, j);
-        lex_update(&mut self.mp[j], &mut self.ip[j], dist, i);
         let lb_key = lb_key(q, self.l);
         let (partials, worst) = (&mut *self.partials, &mut self.worst_key);
         offer_bounded(&mut partials[i], &mut worst[i], DpEntry { neighbor: j, qt, dist, lb_key });
@@ -107,9 +152,55 @@ impl<'a> HarvestFold<'a> {
     }
 }
 
+/// `listDP` shared by the workers of a multi-worker pass: one lock per
+/// row's heap, and each heap's admit bound mirrored as `f64` bits in an
+/// atomic. An offer reads the bound without the lock and takes the lock
+/// only when it passes. The bound publishes no other data — the heap is
+/// only ever read under its lock — so `Relaxed` suffices. Bounds only fall,
+/// so every value a read can return is at least the heap's current bound:
+/// a stale read may let an offer through to the exact check, never reject
+/// one the heap would keep.
+struct SharedHeaps {
+    l: usize,
+    heaps: Vec<Mutex<PartialProfile>>,
+    bounds: Vec<AtomicU64>,
+}
+
+impl SharedHeaps {
+    fn new(l: usize, partials: Vec<PartialProfile>) -> Self {
+        let bounds = partials.iter().map(|p| AtomicU64::new(p.admit_bound().to_bits())).collect();
+        SharedHeaps { l, heaps: partials.into_iter().map(Mutex::new).collect(), bounds }
+    }
+
+    /// [`HarvestFold::cell`] for a shared `listDP`.
+    #[inline(always)]
+    fn cell(&self, i: usize, j: usize, qt: f64, q: f64, dist: f64) {
+        let lb_key = lb_key(q, self.l);
+        self.offer(i, DpEntry { neighbor: j, qt, dist, lb_key });
+        self.offer(j, DpEntry { neighbor: i, qt, dist, lb_key });
+    }
+
+    #[inline(always)]
+    fn offer(&self, row: usize, entry: DpEntry) {
+        let bound = &self.bounds[row];
+        if entry.lb_key <= f64::from_bits(bound.load(Ordering::Relaxed)) {
+            let mut heap = self.heaps[row].lock().expect("a harvest worker panicked mid-offer");
+            heap.offer(entry);
+            bound.store(heap.admit_bound().to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    fn into_partials(self) -> Vec<PartialProfile> {
+        self.heaps
+            .into_iter()
+            .map(|m| m.into_inner().expect("a harvest worker panicked mid-offer"))
+            .collect()
+    }
+}
+
 /// Harvests the `p` smallest-LB entries of one freshly computed distance
 /// profile row into `prof` (which must already be (re-)anchored at `l`):
-/// the row-streamed harvest of the parallel path, the Alg. 4 refinement and
+/// the row-streamed reference harvest, the Alg. 4 refinement and
 /// [`crate::complete_profiles()`]. `stats` holds the length's per-offset
 /// statistics; each pair's key is [`lb_key`] of the same correlation the
 /// fused diagonal harvest computes (the formula is bitwise symmetric in its
@@ -133,79 +224,61 @@ pub(crate) fn harvest_row(
 }
 
 /// Computes the matrix profile at length `l`, harvesting `p` lower-bound
-/// entries per row (paper Algorithm 3). Runs the fused diagonal harvest
-/// ([`compute_matrix_profile_ws`]) with a fresh [`Workspace`]; callers
-/// computing many profiles should hold a workspace to reuse FFT plans and
-/// buffers.
+/// entries per row (paper Algorithm 3): [`compute_matrix_profile_with`] for
+/// a sequential pass with a fresh [`Workspace`] and no recorder. Callers
+/// computing many profiles should hold a workspace to reuse its buffers.
 pub fn compute_matrix_profile(
     ps: &ProfiledSeries,
     l: usize,
     p: usize,
     policy: ExclusionPolicy,
 ) -> Result<MpWithProfiles> {
-    let mut ws = Workspace::new();
-    compute_matrix_profile_ws(ps, l, p, policy, &mut ws)
+    let pass = MpPass::new(l, p, policy);
+    let (out, _) =
+        compute_matrix_profile_with(ps, &pass, &SharedRecorder::noop(), &mut Workspace::new())?;
+    Ok(out)
 }
 
-/// [`compute_matrix_profile`] over a caller-held [`Workspace`]: one blocked
+/// The harvesting pass over a caller-held [`Workspace`]: one blocked
 /// diagonal traversal computes the matrix profile *and* harvests both ends
 /// of every visited pair — `(i, j)` is touched once and offered to
 /// `partials[i]` and `partials[j]` with the same distance, dot product, and
-/// Eq. 2 key (`lb_key` of the pair's symmetric correlation). The retained
-/// sets equal the row-streamed harvest's: the heap order is total, so offer
-/// order cannot change which entries survive.
-pub fn compute_matrix_profile_ws(
+/// Eq. 2 key (`lb_key` of the pair's symmetric correlation). With
+/// `pass.capture` the [`TailState`] comes back too (`None` otherwise); the
+/// capture only reads QT values the traversal produces anyway.
+///
+/// The output is bit-identical for every `pass.threads` and equal to the
+/// row-streamed harvest's, profile and retained entries alike (see the
+/// module docs). With an enabled recorder the pass is timed into
+/// `core.mp.full_profile_us` and accounted under `core.mp.full_profiles`,
+/// `mp.stomp.rows`, `mp.diag.blocks`, `mp.workspace.reuses`, and the FFT
+/// plan-cache traffic (`fft.plan_cache.hits`/`misses`).
+pub fn compute_matrix_profile_with(
     ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
+    pass: &MpPass,
+    recorder: &SharedRecorder,
     ws: &mut Workspace,
-) -> Result<MpWithProfiles> {
-    let traverse = |fold: &mut HarvestFold| {
-        diagonal_cells(ps, l, &policy, ws, |i, j, qt, q, d| fold.cell(i, j, qt, q, d)).map(drop)
-    };
-    fused_harvest(ps, l, p, policy, traverse).map(|(out, ())| out)
-}
-
-/// [`compute_matrix_profile_ws`] plus a captured
-/// [`TailState`](valmod_mp::extend::TailState): the same fused diagonal
-/// harvest, additionally recording the distance matrix's last-column QT
-/// values so the whole result — profile *and* partial profiles — can later
-/// be extended under appends (`SegmentState` in [`crate::valmod`]) instead
-/// of recomputed. Output is bit-identical to [`compute_matrix_profile_ws`];
-/// the capture only reads QT values the traversal produces anyway.
-pub fn compute_matrix_profile_capture_ws(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-) -> Result<(MpWithProfiles, valmod_mp::extend::TailState)> {
-    fused_harvest(ps, l, p, policy, |fold| {
-        valmod_mp::extend::capture_cells(ps, l, policy, ws, |i, j, qt, q, d| {
-            fold.cell(i, j, qt, q, d)
-        })
-    })
-}
-
-/// Runs `traverse` (a diagonal traversal feeding its `(i, j, qt, q, dist)`
-/// cells to [`HarvestFold::cell`]) over fresh `mp`/`ip` arrays and partial
-/// profiles, returning them with whatever the traversal returns.
-fn fused_harvest<T>(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    traverse: impl FnOnce(&mut HarvestFold) -> Result<T>,
-) -> Result<(MpWithProfiles, T)> {
+) -> Result<(MpWithProfiles, Option<TailState>)> {
+    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
+    let baseline = PassBaseline::take(ws);
+    let MpPass { l, p, policy, threads, capture } = *pass;
     let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
     let mut partials: Vec<PartialProfile> =
         (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-    let extra = traverse(&mut HarvestFold::new(l, &mut mp, &mut ip, &mut partials))?;
-    let profile = MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) };
-    Ok((MpWithProfiles { profile, partials }, extra))
+    let workers = resolve_threads(threads);
+    let (profile, tail) = if workers == 1 {
+        let mut fold = HarvestFold::new(l, &mut partials);
+        let visit = |i, j, qt, q, d| fold.cell(i, j, qt, q, d);
+        fold_diagonals(ps, l, policy, capture, ws, &mut [visit])?
+    } else {
+        let heaps = SharedHeaps::new(l, partials);
+        let visit = |i, j, qt, q, d| heaps.cell(i, j, qt, q, d);
+        let out = fold_diagonals(ps, l, policy, capture, ws, &mut vec![visit; workers])?;
+        partials = heaps.into_partials();
+        out
+    };
+    baseline.record(recorder, ndp, l, policy, ws);
+    Ok((MpWithProfiles { profile, partials }, tail))
 }
 
 /// The row-streamed harvest: rows of the distance matrix from the
@@ -239,120 +312,9 @@ pub fn compute_matrix_profile_rows(
     Ok(MpWithProfiles { profile, partials })
 }
 
-/// Multi-threaded [`compute_matrix_profile`]: rows are split into contiguous
-/// chunks, each worker runs the row-range STOMP kernel
-/// ([`valmod_mp::parallel::stomp_rows`]) over its chunk and harvests
-/// lower-bound entries into that chunk's partial profiles. Chunks own
-/// disjoint slices of `mp`/`ip`/`partials`, so the harvest is
-/// synchronisation-free. `threads = 0` uses all available cores; `1` runs
-/// the same kernel on one chunk.
-pub fn compute_matrix_profile_parallel(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-) -> Result<MpWithProfiles> {
-    let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let mut partials: Vec<PartialProfile> =
-        (0..ndp).map(|j| PartialProfile::new(j, l, ps.std(j, l), p)).collect();
-    let stats = &CorrStats::new(ps, l, ndp);
-
-    std::thread::scope(|scope| {
-        let mut mp_rest: &mut [f64] = &mut mp;
-        let mut ip_rest: &mut [usize] = &mut ip;
-        let mut pr_rest: &mut [PartialProfile] = &mut partials;
-        for (chunk_start, len) in row_chunks(ndp, threads) {
-            let (mp_chunk, mp_tail) = mp_rest.split_at_mut(len);
-            let (ip_chunk, ip_tail) = ip_rest.split_at_mut(len);
-            let (pr_chunk, pr_tail) = pr_rest.split_at_mut(len);
-            mp_rest = mp_tail;
-            ip_rest = ip_tail;
-            pr_rest = pr_tail;
-            scope.spawn(move || {
-                stomp_rows(ps, l, &policy, stats, chunk_start, len, |i, dp, qt| {
-                    let k = i - chunk_start;
-                    if let Some((arg, d)) = profile_min(dp) {
-                        mp_chunk[k] = d;
-                        ip_chunk[k] = arg;
-                    }
-                    harvest_row(&mut pr_chunk[k], stats, dp, qt, i, l);
-                });
-            });
-        }
-    });
-    Ok(MpWithProfiles {
-        profile: MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) },
-        partials,
-    })
-}
-
-/// Unified recorded entry point for the harvesting matrix-profile pass:
-/// `threads == 1` runs the fused diagonal harvest, anything else the
-/// chunked [`compute_matrix_profile_parallel`]. Uses a fresh [`Workspace`];
-/// see [`compute_matrix_profile_with_ws`] for plan/buffer reuse.
-pub fn compute_matrix_profile_with(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-    recorder: &SharedRecorder,
-) -> Result<MpWithProfiles> {
-    let mut ws = Workspace::new();
-    compute_matrix_profile_with_ws(ps, l, p, policy, threads, recorder, &mut ws)
-}
-
-/// [`compute_matrix_profile_with`] over a caller-held [`Workspace`]. With an
-/// enabled recorder the pass is timed into `core.mp.full_profile_us` and
-/// accounted under `core.mp.full_profiles`, `mp.mass.calls` (one FFT seed
-/// per chunk), and `mp.stomp.rows`; the sequential diagonal path also
-/// records `mp.diag.blocks`, `mp.workspace.reuses`, and the FFT plan-cache
-/// traffic (`fft.plan_cache.hits`/`misses`).
-#[allow(clippy::too_many_arguments)] // recorder + workspace ride along with the knobs
-pub fn compute_matrix_profile_with_ws(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-    recorder: &SharedRecorder,
-    ws: &mut Workspace,
-) -> Result<MpWithProfiles> {
-    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
-    let baseline = PassBaseline::take(ws);
-    let out = if threads == 1 {
-        compute_matrix_profile_ws(ps, l, p, policy, ws)?
-    } else {
-        compute_matrix_profile_parallel(ps, l, p, policy, threads)?
-    };
-    baseline.record(recorder, out.profile.len(), l, policy, threads, ws);
-    Ok(out)
-}
-
-/// The instrumented capturing entry point (sequential only — the captured
-/// tail continues the fused diagonal kernel's exact chains, which the
-/// chunked parallel kernel does not produce). Accounting matches
-/// [`compute_matrix_profile_with_ws`] at `threads == 1`.
-pub fn compute_matrix_profile_capture_with_ws(
-    ps: &ProfiledSeries,
-    l: usize,
-    p: usize,
-    policy: ExclusionPolicy,
-    recorder: &SharedRecorder,
-    ws: &mut Workspace,
-) -> Result<(MpWithProfiles, valmod_mp::extend::TailState)> {
-    let _span = valmod_obs::span!(recorder, "core.mp.full_profile_us");
-    let baseline = PassBaseline::take(ws);
-    let (out, tail) = compute_matrix_profile_capture_ws(ps, l, p, policy, ws)?;
-    baseline.record(recorder, out.profile.len(), l, policy, 1, ws);
-    Ok((out, tail))
-}
-
-/// Pre-pass workspace snapshot, turned into the per-pass accounting shared
-/// by the plain and capturing entry points.
+/// Pre-pass workspace snapshot, turned into the per-pass accounting. The
+/// traversal seeds by direct sums, so a pass runs no MASS: `mp.mass.calls`
+/// is left to the rows that really are FFT-seeded (the sub-MP refinement).
 struct PassBaseline {
     hits0: u64,
     misses0: u64,
@@ -374,27 +336,22 @@ impl PassBaseline {
         ndp: usize,
         l: usize,
         policy: ExclusionPolicy,
-        threads: usize,
         ws: &Workspace,
     ) {
         if !recorder.enabled() {
             return;
         }
-        let chunks = if threads == 1 { 1 } else { row_chunks(ndp, threads).len() };
         recorder.add("core.mp.full_profiles", 1);
-        recorder.add("mp.mass.calls", chunks as u64);
         recorder.add("mp.stomp.rows", ndp as u64);
-        if threads == 1 {
-            recorder.add(
-                "mp.diag.blocks",
-                valmod_mp::diagonal::block_count(ndp, policy.radius(l), ws.block()),
-            );
-            if self.reused {
-                recorder.add("mp.workspace.reuses", 1);
-            }
-            recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - self.hits0);
-            recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - self.misses0);
+        recorder.add(
+            "mp.diag.blocks",
+            valmod_mp::diagonal::block_count(ndp, policy.radius(l), ws.block()),
+        );
+        if self.reused {
+            recorder.add("mp.workspace.reuses", 1);
         }
+        recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - self.hits0);
+        recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - self.misses0);
     }
 }
 
@@ -404,28 +361,29 @@ pub(crate) mod tests {
     use valmod_data::generators::random_walk;
     use valmod_mp::stomp::stomp;
 
+    /// One recorder-less pass of [`compute_matrix_profile_with`].
+    pub(crate) fn run_pass(
+        ps: &ProfiledSeries,
+        pass: MpPass,
+        ws: &mut Workspace,
+    ) -> (MpWithProfiles, Option<TailState>) {
+        compute_matrix_profile_with(ps, &pass, &SharedRecorder::noop(), ws).unwrap()
+    }
+
     #[test]
     fn parallel_harvest_matches_sequential() {
-        let ps = ProfiledSeries::from_values(&random_walk(320, 37)).unwrap();
+        // Random walk plus a flat stretch: tied keys and distances under a
+        // concurrently filled listDP.
+        let series = flat_and_near_flat_series(320, 37);
+        let ps = ProfiledSeries::from_values(&series).unwrap();
         let (l, p) = (20, 4);
         let seq = compute_matrix_profile(&ps, l, p, ExclusionPolicy::HALF).unwrap();
-        for threads in [1usize, 2, 3, 7, 16] {
-            let par =
-                compute_matrix_profile_parallel(&ps, l, p, ExclusionPolicy::HALF, threads).unwrap();
-            assert_eq!(par.profile.len(), seq.profile.len());
-            for i in 0..seq.profile.len() {
-                assert!(
-                    (par.profile.mp[i] - seq.profile.mp[i]).abs() < 1e-7,
-                    "threads={threads} row {i}"
-                );
-            }
-            for (ps_seq, ps_par) in seq.partials.iter().zip(&par.partials) {
-                assert_eq!(ps_seq.owner, ps_par.owner);
-                let mut a: Vec<usize> = ps_seq.entries().iter().map(|e| e.neighbor).collect();
-                let mut b: Vec<usize> = ps_par.entries().iter().map(|e| e.neighbor).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "threads={threads} owner {}", ps_seq.owner);
+        for threads in [2usize, 3, 7, 16, 0] {
+            for run in 0..2 {
+                let pass = MpPass::new(l, p, ExclusionPolicy::HALF).threads(threads);
+                let (par, tail) = run_pass(&ps, pass, &mut Workspace::with_block(7));
+                assert!(tail.is_none());
+                assert_harvests_bit_identical(&par, &seq, &format!("threads={threads} run={run}"));
             }
         }
     }
@@ -504,16 +462,14 @@ pub(crate) mod tests {
         let ps = ProfiledSeries::from_values(&series).unwrap();
         for (l, p) in [(12usize, 3usize), (16, 5), (24, 1)] {
             let rows = compute_matrix_profile_rows(&ps, l, p, ExclusionPolicy::HALF).unwrap();
-            for block in [1usize, 7, 1 << 20] {
+            for (block, threads) in [(1usize, 1usize), (7, 1), (1 << 20, 1), (7, 2), (1, 3)] {
                 let mut ws = Workspace::with_block(block);
-                let fused =
-                    compute_matrix_profile_ws(&ps, l, p, ExclusionPolicy::HALF, &mut ws).unwrap();
-                let what = format!("fused l={l} p={p} block={block}");
+                let pass = MpPass::new(l, p, ExclusionPolicy::HALF).threads(threads);
+                let (fused, _) = run_pass(&ps, pass, &mut ws);
+                let what = format!("fused l={l} p={p} block={block} threads={threads}");
                 assert_harvests_bit_identical(&fused, &rows, &what);
-                let (captured, _) =
-                    compute_matrix_profile_capture_ws(&ps, l, p, ExclusionPolicy::HALF, &mut ws)
-                        .unwrap();
-                let what = format!("capture l={l} p={p} block={block}");
+                let (captured, _) = run_pass(&ps, pass.capture(true), &mut ws);
+                let what = format!("capture l={l} p={p} block={block} threads={threads}");
                 assert_harvests_bit_identical(&captured, &rows, &what);
             }
             // Flat pairs carry key 0 (q = 1) on every side of the pair.
@@ -527,8 +483,7 @@ pub(crate) mod tests {
         let ps = ProfiledSeries::from_values(&random_walk(300, 71)).unwrap();
         let mut ws = Workspace::new();
         for l in [40usize, 41, 64, 40] {
-            let reused =
-                compute_matrix_profile_ws(&ps, l, 4, ExclusionPolicy::HALF, &mut ws).unwrap();
+            let (reused, _) = run_pass(&ps, MpPass::new(l, 4, ExclusionPolicy::HALF), &mut ws);
             let fresh = compute_matrix_profile(&ps, l, 4, ExclusionPolicy::HALF).unwrap();
             assert_harvests_bit_identical(&reused, &fresh, &format!("l={l}"));
         }
@@ -545,21 +500,22 @@ pub(crate) mod tests {
     fn capturing_variant_is_bit_identical_and_extension_ready() {
         let series = random_walk(360, 73);
         let base = ProfiledSeries::from_values(&series[..300]).unwrap();
-        let mut ws = Workspace::new();
-        let (captured, mut tail) =
-            compute_matrix_profile_capture_ws(&base, 18, 4, ExclusionPolicy::HALF, &mut ws)
-                .unwrap();
         let plain = compute_matrix_profile(&base, 18, 4, ExclusionPolicy::HALF).unwrap();
-        assert_harvests_bit_identical(&captured, &plain, "capture");
-        // The captured tail really is the extension entry point: growing the
-        // series through it reproduces a cold profile bit for bit.
         let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
-        let mut profile = captured.profile.clone();
-        valmod_mp::extend::extend_profile(&mut profile, &mut tail, &grown).unwrap();
         let cold = stomp(&grown, 18, ExclusionPolicy::HALF).unwrap();
-        for i in 0..cold.len() {
-            assert_eq!(profile.mp[i].to_bits(), cold.mp[i].to_bits(), "mp[{i}]");
-            assert_eq!(profile.ip[i], cold.ip[i], "ip[{i}]");
+        for threads in [1usize, 2, 3] {
+            let pass = MpPass::new(18, 4, ExclusionPolicy::HALF).threads(threads).capture(true);
+            let (captured, tail) = run_pass(&base, pass, &mut Workspace::new());
+            assert_harvests_bit_identical(&captured, &plain, &format!("threads={threads}"));
+            // The captured tail really is the extension entry point: growing
+            // the series through it reproduces a cold profile bit for bit.
+            let mut tail = tail.expect("capture requested");
+            let mut profile = captured.profile.clone();
+            valmod_mp::extend::extend_profile(&mut profile, &mut tail, &grown).unwrap();
+            for i in 0..cold.len() {
+                assert_eq!(profile.mp[i].to_bits(), cold.mp[i].to_bits(), "mp[{i}]");
+                assert_eq!(profile.ip[i], cold.ip[i], "ip[{i}]");
+            }
         }
     }
 

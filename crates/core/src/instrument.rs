@@ -10,7 +10,7 @@
 //!
 //! Earlier revisions re-implemented the margin/TLB arithmetic in a private
 //! probe; the probes now attach a [`Registry`] to the same
-//! [`compute_sub_mp_threaded_with`] pass that VALMOD itself runs, so the
+//! [`compute_sub_mp_with`] pass that VALMOD itself runs, so the
 //! figures measure exactly what the algorithm does.
 
 use valmod_data::error::Result;
@@ -20,7 +20,7 @@ use valmod_mp::ProfiledSeries;
 use valmod_obs::{buckets, HistogramSnapshot, Registry, SharedRecorder, Snapshot};
 
 use crate::compute_mp::compute_matrix_profile;
-use crate::sub_mp::{compute_sub_mp, compute_sub_mp_threaded_with};
+use crate::sub_mp::{compute_sub_mp, compute_sub_mp_with};
 
 /// Registers the lower-bound diagnostic histograms with layouts suited to
 /// their value ranges (the registry's default buckets are latency-shaped):
@@ -62,7 +62,8 @@ pub fn lb_probe(
     let registry = Registry::new();
     register_probe_histograms(&registry);
     let recorder = SharedRecorder::from(registry.clone());
-    let _ = compute_sub_mp_threaded_with(ps, &mut state.partials, target_l, policy, 1, &recorder);
+    let mut ws = valmod_mp::workspace::Workspace::new();
+    let _ = compute_sub_mp_with(ps, &mut state.partials, target_l, policy, 1, &recorder, &mut ws);
     Ok(registry.snapshot())
 }
 

@@ -88,20 +88,15 @@ pub mod valmp;
 
 pub use complete_profiles::{complete_profiles, CompletionStats};
 pub use compute_mp::{
-    compute_matrix_profile, compute_matrix_profile_capture_with_ws,
-    compute_matrix_profile_capture_ws, compute_matrix_profile_parallel,
-    compute_matrix_profile_rows, compute_matrix_profile_with, compute_matrix_profile_with_ws,
-    compute_matrix_profile_ws, MpWithProfiles,
+    compute_matrix_profile, compute_matrix_profile_rows, compute_matrix_profile_with, MpPass,
+    MpWithProfiles,
 };
 pub use discords::{variable_length_discords, VariableLengthDiscord};
 pub use length_hint::{suggest_length_ranges, LengthHint};
 pub use motif_sets::{compute_var_length_motif_sets, MotifSet, SetMember, SetStats};
 pub use pairs::{BestKPairs, PairCandidate};
 pub use ranking::{top_variable_length_motifs, LengthCorrection};
-pub use sub_mp::{
-    compute_sub_mp, compute_sub_mp_threaded, compute_sub_mp_threaded_with,
-    compute_sub_mp_threaded_with_ws, SubMpResult,
-};
+pub use sub_mp::{compute_sub_mp, compute_sub_mp_with, SubMpResult};
 pub use validate::{validate_length_range, validate_valmod_params};
 pub use valmod::{
     compose_output, LengthMethod, LengthProfile, LengthReport, SegmentState, Valmod, ValmodConfig,

@@ -81,8 +81,9 @@ pub fn compute_var_length_motif_sets(
         members.push(SetMember { offset: pair.b, dist: 0.0 });
 
         // Greedy trivial-match removal: best (closest) members claim their
-        // exclusion zone first.
-        members.sort_by(|x, y| x.dist.total_cmp(&y.dist));
+        // exclusion zone first. Ties go to the smaller offset, so the answer
+        // never depends on the snapshots' order (their heaps' layout).
+        members.sort_by(|x, y| x.dist.total_cmp(&y.dist).then(x.offset.cmp(&y.offset)));
         let radius = policy.radius(pair.l);
         let mut kept: Vec<SetMember> = Vec::new();
         for m in members {
@@ -206,6 +207,49 @@ mod tests {
         let (small, _) = run(9, 2.0, 1);
         let (large, _) = run(9, 6.0, 1);
         assert!(large[0].frequency() >= small[0].frequency());
+    }
+
+    #[test]
+    fn tied_members_do_not_depend_on_snapshot_order() {
+        // Regression: members were sorted by distance alone, so tied members
+        // kept the snapshots' order — the heaps' layout, which depends on
+        // harvest order. 40 and 44 are a tied trivial match: the smaller
+        // offset must win whatever order the snapshots list them in.
+        let ps =
+            valmod_mp::ProfiledSeries::from_values(&valmod_data::generators::random_walk(200, 3))
+                .unwrap();
+        let l = 16;
+        let neighbors = vec![(44usize, 0.5), (40, 0.5), (150, 0.5), (63, 1.5), (60, 1.5)];
+        let sets_for = |order: &[(usize, f64)]| {
+            let snap = |owner| PartialSnapshot {
+                owner,
+                l,
+                max_lb: f64::INFINITY,
+                neighbors: order.to_vec(),
+            };
+            let mut best = BestKPairs::new(1);
+            best.extend_sorted(vec![PairCandidate {
+                a: 10,
+                b: 100,
+                l,
+                dist: 1.0,
+                norm_dist: valmod_mp::distance::length_normalize(1.0, l),
+                part_a: snap(10),
+                part_b: snap(100),
+            }]);
+            let (sets, _) = compute_var_length_motif_sets(&ps, &best, 2.0, ExclusionPolicy::HALF);
+            sets[0].members.iter().map(|m| (m.offset, m.dist.to_bits())).collect::<Vec<_>>()
+        };
+        let reference = sets_for(&neighbors);
+        let offsets: Vec<usize> = reference.iter().map(|m| m.0).collect();
+        assert_eq!(offsets, vec![10, 100, 40, 150, 60]);
+        let mut permuted = neighbors.clone();
+        for _ in 0..neighbors.len() {
+            permuted.rotate_left(1);
+            assert_eq!(sets_for(&permuted), reference, "order {permuted:?}");
+            permuted.reverse();
+            assert_eq!(sets_for(&permuted), reference, "order {permuted:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use valmod_mp::distance::CorrStats;
 use valmod_mp::distance_profile::{dp_from_qt_into, profile_min};
 use valmod_mp::exclusion::ExclusionPolicy;
-use valmod_mp::parallel::row_chunks;
+use valmod_mp::parallel::resolve_threads;
 use valmod_mp::workspace::Workspace;
 use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
@@ -168,61 +168,43 @@ fn advance_rows(
 
 /// Advances all partial profiles to `new_l` and attempts to derive the
 /// motif of that length without recomputing the matrix profile
-/// (paper Algorithm 4). Sequential; see [`compute_sub_mp_threaded`].
+/// (paper Algorithm 4): [`compute_sub_mp_with`] on one thread, with no
+/// recorder and a fresh [`Workspace`].
 pub fn compute_sub_mp(
     ps: &ProfiledSeries,
     partials: &mut [PartialProfile],
     new_l: usize,
     policy: ExclusionPolicy,
 ) -> SubMpResult {
-    compute_sub_mp_threaded(ps, partials, new_l, policy, 1)
+    let noop = SharedRecorder::noop();
+    compute_sub_mp_with(ps, partials, new_l, policy, 1, &noop, &mut Workspace::new())
 }
 
 /// [`compute_sub_mp`] with the first pass split across `threads` workers
-/// (0 = all available cores). Each chunk owns disjoint slices of
+/// (0 = all available cores), instrumentation, and a caller-held
+/// [`Workspace`].
+///
+/// The rows split into contiguous `chunks_mut` runs, one scoped worker
+/// each (also for one thread); each worker owns disjoint slices of
 /// `sub_mp`/`ip`/`partials` and reduces its own
-/// `minDistAbs`/`minLBAbs`/non-valid list; the reductions merge in row
+/// `minDistAbs`/`minLBAbs`/non-valid list, and the reductions merge in row
 /// order, so the output is identical to the sequential pass. The
 /// last-chance refinement (paper lines 27–37) stays sequential — it touches
-/// few rows by construction.
-pub fn compute_sub_mp_threaded(
-    ps: &ProfiledSeries,
-    partials: &mut [PartialProfile],
-    new_l: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-) -> SubMpResult {
-    compute_sub_mp_threaded_with(ps, partials, new_l, policy, threads, &SharedRecorder::noop())
-}
-
-/// [`compute_sub_mp_threaded`] with instrumentation. With an enabled
-/// recorder, the advance pass records per-row pruning margins
-/// (`core.lb.margin`, normalised by the `2√ℓ` distance range — Fig. 9) and
-/// the mean tightness of the Eq. 2 lower bound (`core.lb.tlb` — Fig. 10);
-/// the merge records `core.lb.valid_rows`/`core.lb.nonvalid_rows` counters,
-/// the last-chance pass records `core.lb.refined_rows` plus one
-/// `mp.mass.calls` per recomputed row, and the whole first pass is timed
-/// into `core.submp.advance_us`. The instrumentation only *reads* the
-/// algorithm's state: outputs are bitwise identical with any recorder.
-pub fn compute_sub_mp_threaded_with(
-    ps: &ProfiledSeries,
-    partials: &mut [PartialProfile],
-    new_l: usize,
-    policy: ExclusionPolicy,
-    threads: usize,
-    recorder: &SharedRecorder,
-) -> SubMpResult {
-    let mut ws = Workspace::new();
-    compute_sub_mp_threaded_with_ws(ps, partials, new_l, policy, threads, recorder, &mut ws)
-}
-
-/// [`compute_sub_mp_threaded_with`] over a caller-held [`Workspace`]: the
-/// last-chance refinement re-seeds each recomputed row's dot-product vector
-/// through the workspace's FFT plan cache ([`Workspace::self_qt`], bitwise
-/// identical to a fresh-plan seed), so a driver walking a length range pays
-/// for each FFT size once.
-#[allow(clippy::too_many_arguments)] // recorder + workspace ride along with the row-chunk knobs
-pub fn compute_sub_mp_threaded_with_ws(
+/// few rows by construction — and re-seeds each recomputed row's
+/// dot-product vector through the workspace's FFT plan cache
+/// ([`Workspace::self_qt`], bitwise identical to a fresh-plan seed), so a
+/// driver walking a length range pays for each FFT size once.
+///
+/// With an enabled recorder, the advance pass records per-row pruning
+/// margins (`core.lb.margin`, normalised by the `2√ℓ` distance range —
+/// Fig. 9) and the mean tightness of the Eq. 2 lower bound (`core.lb.tlb` —
+/// Fig. 10); the merge records `core.lb.valid_rows`/`core.lb.nonvalid_rows`
+/// counters, the last-chance pass records `core.lb.refined_rows` plus one
+/// `mp.mass.calls` per recomputed (FFT-seeded) row, and the whole first
+/// pass is timed into `core.submp.advance_us`. The instrumentation only
+/// *reads* the algorithm's state: outputs are bitwise identical with any
+/// recorder.
+pub fn compute_sub_mp_with(
     ps: &ProfiledSeries,
     partials: &mut [PartialProfile],
     new_l: usize,
@@ -265,32 +247,19 @@ pub fn compute_sub_mp_threaded_with_ws(
 
     let chunk_outs: Vec<AdvanceOut> = {
         let _span = valmod_obs::span!(recorder, "core.submp.advance_us");
+        let rows = ndp.div_ceil(resolve_threads(threads).clamp(1, ndp));
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut mp_rest: &mut [f64] = &mut sub_mp;
-            let mut ip_rest: &mut [usize] = &mut ip;
-            let mut pr_rest: &mut [PartialProfile] = &mut partials[..ndp];
-            for (chunk_start, len) in row_chunks(ndp, threads) {
-                let (mp_chunk, mp_tail) = mp_rest.split_at_mut(len);
-                let (ip_chunk, ip_tail) = ip_rest.split_at_mut(len);
-                let (pr_chunk, pr_tail) = pr_rest.split_at_mut(len);
-                mp_rest = mp_tail;
-                ip_rest = ip_tail;
-                pr_rest = pr_tail;
-                handles.push(scope.spawn(move || {
-                    advance_rows(
-                        ps,
-                        pr_chunk,
-                        chunk_start,
-                        new_l,
-                        &policy,
-                        mp_chunk,
-                        ip_chunk,
-                        recorder,
-                    )
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("sub-MP worker panicked")).collect()
+            let workers: Vec<_> = partials[..ndp]
+                .chunks_mut(rows)
+                .zip(sub_mp.chunks_mut(rows).zip(ip.chunks_mut(rows)))
+                .enumerate()
+                .map(|(c, (prof, (mp, ip)))| {
+                    scope.spawn(move || {
+                        advance_rows(ps, prof, c * rows, new_l, &policy, mp, ip, recorder)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("sub-MP worker panicked")).collect()
         })
     };
 
@@ -447,7 +416,16 @@ mod tests {
             let mut par = seq.clone();
             for l in 25..=30 {
                 let a = compute_sub_mp(&ps, &mut seq.partials, l, policy);
-                let b = compute_sub_mp_threaded(&ps, &mut par.partials, l, policy, threads);
+                let noop = SharedRecorder::noop();
+                let b = compute_sub_mp_with(
+                    &ps,
+                    &mut par.partials,
+                    l,
+                    policy,
+                    threads,
+                    &noop,
+                    &mut Workspace::new(),
+                );
                 assert_eq!(a.found_motif, b.found_motif, "threads={threads} l={l}");
                 assert_eq!(a.valid_rows, b.valid_rows, "threads={threads} l={l}");
                 assert_eq!(a.nonvalid_rows, b.nonvalid_rows, "threads={threads} l={l}");
@@ -476,7 +454,8 @@ mod tests {
         let rec = SharedRecorder::from(registry.clone());
         for l in 21..=26 {
             let a = compute_sub_mp(&ps, &mut plain.partials, l, policy);
-            let b = compute_sub_mp_threaded_with(&ps, &mut recorded.partials, l, policy, 2, &rec);
+            let mut ws = Workspace::new();
+            let b = compute_sub_mp_with(&ps, &mut recorded.partials, l, policy, 2, &rec, &mut ws);
             assert_eq!(a.found_motif, b.found_motif, "l={l}");
             for (j, (&x, &y)) in a.sub_mp.iter().zip(&b.sub_mp).enumerate() {
                 assert!(x.to_bits() == y.to_bits(), "l={l} row {j}: {x} vs {y}");

@@ -7,6 +7,7 @@
 
 use valmod_data::error::{Result, ValmodError};
 use valmod_data::series::Series;
+use valmod_mp::diagonal::lex_update;
 use valmod_mp::exclusion::ExclusionPolicy;
 use valmod_mp::extend::{extend_cells, TailState};
 use valmod_mp::motif::MotifPair;
@@ -15,13 +16,10 @@ use valmod_obs::{Recorder, SharedRecorder};
 
 use valmod_mp::workspace::Workspace;
 
-use crate::compute_mp::{
-    compute_matrix_profile_capture_with_ws, compute_matrix_profile_with_ws, HarvestFold,
-    MpWithProfiles,
-};
+use crate::compute_mp::{compute_matrix_profile_with, HarvestFold, MpPass, MpWithProfiles};
 use crate::pairs::BestKPairs;
 use crate::profile::{DpEntry, PartialProfile};
-use crate::sub_mp::compute_sub_mp_threaded_with_ws;
+use crate::sub_mp::compute_sub_mp_with;
 use crate::valmp::Valmp;
 
 /// Configuration for a VALMOD run.
@@ -39,8 +37,8 @@ pub struct ValmodConfig {
     /// Track the top-K pairs for motif-set discovery (0 = off).
     pub track_pairs: usize,
     /// Worker threads for the profile computations (1 = sequential,
-    /// 0 = all available cores). Any thread count produces the same output
-    /// up to floating-point rounding at chunk seams (≤ ~1e-12).
+    /// 0 = all available cores). Every thread count produces the same
+    /// output bit for bit; only wall-clock time changes.
     pub threads: usize,
 }
 
@@ -86,9 +84,9 @@ impl ValmodConfig {
     /// equal canonical forms produce semantically identical output, so
     /// result caches must key on this form, never on the raw config.
     ///
-    /// Normalisations: `threads` is forced to 1 (any thread count yields
-    /// the same answer up to sub-1e-12 chunk-seam rounding) and the
-    /// exclusion fraction is reduced to lowest terms (`2/4` ≡ `1/2`).
+    /// Normalisations: `threads` is forced to 1 (every thread count yields
+    /// the same answer bit for bit) and the exclusion fraction is reduced
+    /// to lowest terms (`2/4` ≡ `1/2`).
     pub fn canonical(&self) -> ValmodConfig {
         ValmodConfig {
             l_min: self.l_min,
@@ -364,15 +362,7 @@ impl Valmod {
         l_lo: usize,
         l_hi: usize,
     ) -> Result<Vec<LengthProfile>> {
-        let mut cfg = self.config.clone();
-        cfg.l_min = l_lo;
-        cfg.l_max = l_hi;
-        cfg.validate_for(ps.len())?;
-        let recorder = &self.recorder;
-        let _span = valmod_obs::span!(recorder, "core.valmod.segment_us");
-        let mut out = Vec::with_capacity(l_hi - l_lo + 1);
-        drive_lengths(ps, &cfg, recorder, |lp, _| out.push(lp))?;
-        Ok(out)
+        Ok(self.segment(ps, l_lo, l_hi, false)?.0)
     }
 
     /// [`Valmod::run_lengths_on`] that additionally returns the
@@ -380,17 +370,25 @@ impl Valmod {
     /// same fragments be *replayed* later ([`SegmentState::replay`]) and
     /// *extended* under appends ([`SegmentState::extend`]) instead of
     /// recomputed. The fragments are bit-identical to
-    /// [`Valmod::run_lengths_on`]'s.
-    ///
-    /// Capture requires the sequential fused kernel (`threads == 1`): the
-    /// chunked parallel kernel does not produce the diagonal chains the
-    /// tail continues. With any other thread count this falls back to the
-    /// plain walk and returns `None` for the state.
+    /// [`Valmod::run_lengths_on`]'s. The state is captured at every thread
+    /// count (the `Option` is always `Some`), and the states of different
+    /// thread counts replay and extend identically.
     pub fn run_lengths_capturing(
         &self,
         ps: &ProfiledSeries,
         l_lo: usize,
         l_hi: usize,
+    ) -> Result<(Vec<LengthProfile>, Option<SegmentState>)> {
+        self.segment(ps, l_lo, l_hi, true)
+    }
+
+    /// The segment walk under both entry points above.
+    fn segment(
+        &self,
+        ps: &ProfiledSeries,
+        l_lo: usize,
+        l_hi: usize,
+        capture: bool,
     ) -> Result<(Vec<LengthProfile>, Option<SegmentState>)> {
         let mut cfg = self.config.clone();
         cfg.l_min = l_lo;
@@ -399,19 +397,8 @@ impl Valmod {
         let recorder = &self.recorder;
         let _span = valmod_obs::span!(recorder, "core.valmod.segment_us");
         let mut out = Vec::with_capacity(l_hi - l_lo + 1);
-        if cfg.threads != 1 {
-            drive_lengths(ps, &cfg, recorder, |lp, _| out.push(lp))?;
-            return Ok((out, None));
-        }
-        ps.require_pairs(cfg.l_max)?;
-        let mut ws = Workspace::new();
-        let (state, tail) =
-            compute_matrix_profile_capture_with_ws(ps, l_lo, cfg.p, cfg.policy, recorder, &mut ws)?;
-        let seg = SegmentState { config: cfg, n: ps.len(), state, tail };
-        out.push(anchor_profile(&seg.state, l_lo));
-        let mut walk = seg.state.clone();
-        advance_walk(ps, &seg.config, recorder, &mut ws, &mut walk, &mut |lp, _| out.push(lp))?;
-        Ok((out, Some(seg)))
+        let seg = drive_lengths(ps, &cfg, recorder, capture, |lp, _| out.push(lp))?;
+        Ok((out, seg))
     }
 }
 
@@ -498,8 +485,13 @@ impl SegmentState {
         for r in old_ndp..new_ndp {
             partials.push(PartialProfile::new(r, l, ps.std(r, l), p));
         }
-        let mut fold = HarvestFold::new(l, &mut profile.mp, &mut profile.ip, partials);
-        extend_cells(&mut self.tail, ps, |i, j, qt, q, d| fold.cell(i, j, qt, q, d))?;
+        let (mp, ip) = (&mut profile.mp, &mut profile.ip);
+        let mut fold = HarvestFold::new(l, partials);
+        extend_cells(&mut self.tail, ps, |i, j, qt, q, d| {
+            lex_update(&mut mp[i], &mut ip[i], d, j);
+            lex_update(&mut mp[j], &mut ip[j], d, i);
+            fold.cell(i, j, qt, q, d);
+        })?;
         self.n = ps.len();
         Ok(())
     }
@@ -582,7 +574,7 @@ fn run_valmod(
     let mut tracker = (config.track_pairs > 0).then(|| BestKPairs::new(config.track_pairs));
     let mut per_length = Vec::with_capacity(config.l_max - config.l_min + 1);
 
-    drive_lengths(ps, config, recorder, |lp, partials| {
+    drive_lengths(ps, config, recorder, false, |lp, partials| {
         let improved = valmp.update(&lp.mp, &lp.ip, lp.l);
         if let Some(t) = tracker.as_mut() {
             for &i in &improved {
@@ -599,14 +591,17 @@ fn run_valmod(
 /// `config.l_min`, then `ComputeSubMP` per subsequent length with the full
 /// recomputation fallback. Each resolved length is handed to `visit`
 /// together with the partial profiles live at that point (which top-K pair
-/// tracking needs). Both [`run_valmod`] and [`Valmod::run_lengths_on`] are
-/// thin folds over this walk.
+/// tracking needs). With `capture` the anchor artifacts come back as a
+/// [`SegmentState`] (a copy taken before the walk advances them). Both
+/// [`run_valmod`] and [`Valmod::run_lengths_on`] are thin folds over this
+/// walk.
 fn drive_lengths(
     ps: &ProfiledSeries,
     config: &ValmodConfig,
     recorder: &SharedRecorder,
+    capture: bool,
     mut visit: impl FnMut(LengthProfile, &[PartialProfile]),
-) -> Result<()> {
+) -> Result<Option<SegmentState>> {
     ps.require_pairs(config.l_max)?;
 
     // One workspace for the whole walk: the anchor profile, every fallback
@@ -615,20 +610,20 @@ fn drive_lengths(
     // the entire length range.
     let mut ws = Workspace::new();
 
-    // ℓ_min: full profile + harvest (Algorithm 1, line 5). With one thread
-    // the fused diagonal-blocked kernel runs (bitwise-stable baseline);
-    // otherwise the chunked kernel computes disjoint row ranges in parallel.
-    let mut state = compute_matrix_profile_with_ws(
-        ps,
-        config.l_min,
-        config.p,
-        config.policy,
-        config.threads,
-        recorder,
-        &mut ws,
-    )?;
+    // ℓ_min: full profile + harvest (Algorithm 1, line 5) — the same fused
+    // diagonal pass at every thread count.
+    let pass =
+        MpPass::new(config.l_min, config.p, config.policy).threads(config.threads).capture(capture);
+    let (mut state, tail) = compute_matrix_profile_with(ps, &pass, recorder, &mut ws)?;
     visit(anchor_profile(&state, config.l_min), &state.partials);
-    advance_walk(ps, config, recorder, &mut ws, &mut state, &mut visit)
+    let seg = tail.map(|tail| SegmentState {
+        config: config.clone(),
+        n: ps.len(),
+        state: state.clone(),
+        tail,
+    });
+    advance_walk(ps, config, recorder, &mut ws, &mut state, &mut visit)?;
+    Ok(seg)
 }
 
 /// The anchor's [`LengthProfile`] — emitted identically by the cold walk
@@ -662,15 +657,8 @@ fn advance_walk(
 ) -> Result<()> {
     let policy = config.policy;
     for l in (config.l_min + 1)..=config.l_max {
-        let res = compute_sub_mp_threaded_with_ws(
-            ps,
-            &mut state.partials,
-            l,
-            policy,
-            config.threads,
-            recorder,
-            ws,
-        );
+        let res =
+            compute_sub_mp_with(ps, &mut state.partials, l, policy, config.threads, recorder, ws);
         let (mp_vals, ip_vals, method, known, valid, nonvalid, recomputed);
         if res.found_motif {
             method = if res.recomputed_rows > 0 {
@@ -692,15 +680,11 @@ fn advance_walk(
             if recorder.enabled() {
                 recorder.add("core.lb.fallback", 1);
             }
-            *state = compute_matrix_profile_with_ws(
-                ps,
-                l,
-                config.p,
-                policy,
-                config.threads,
-                recorder,
-                ws,
-            )?;
+            // Release the old listDP before harvesting the new one, so a
+            // fallback never holds two.
+            state.partials = Vec::new();
+            let pass = MpPass::new(l, config.p, policy).threads(config.threads);
+            *state = compute_matrix_profile_with(ps, &pass, recorder, ws)?.0;
             method = LengthMethod::Fallback;
             known = state.profile.len();
             valid = res.valid_rows;
@@ -919,36 +903,40 @@ mod tests {
     #[test]
     fn threads_do_not_change_the_output() {
         // Random walk plus a flat stretch: the constant rows exercise the
-        // key-0 lower-bound path under chunking.
+        // key-0 lower-bound path and tied distances under a concurrently
+        // filled listDP.
         let mut values = random_walk(420, 109);
         for v in &mut values[150..210] {
             *v = 2.5;
         }
         let series = Series::new(values).unwrap();
-        let base = Valmod::new(16, 40).p(4).run(&series).unwrap();
+        let ps = ProfiledSeries::new(&series);
+        let runner = Valmod::new(16, 40).p(4);
+        let base = runner.run(&series).unwrap();
+        let base_frags = runner.run_lengths_on(&ps, 16, 40).unwrap();
         for threads in [2usize, 3, 7, 16, 0] {
-            let par = Valmod::new(16, 40).p(4).threads(threads).run(&series).unwrap();
-            assert_eq!(par.per_length.len(), base.per_length.len());
-            for (a, b) in base.per_length.iter().zip(&par.per_length) {
-                assert_eq!(a.l, b.l);
-                match (a.motif, b.motif) {
-                    (Some(x), Some(y)) => assert!(
-                        (x.dist - y.dist).abs() < 1e-7,
-                        "threads={threads} l={}: {} vs {}",
-                        a.l,
-                        x.dist,
-                        y.dist
-                    ),
-                    (None, None) => {}
-                    other => panic!("threads={threads} l={}: {:?}", a.l, other),
+            // The same thread count twice: concurrent heap filling must not
+            // make a run irreproducible either.
+            for run in 0..2 {
+                let what = format!("threads={threads} run={run}");
+                let par = runner.clone().threads(threads).run(&series).unwrap();
+                assert_eq!(par.per_length.len(), base.per_length.len());
+                for (a, b) in base.per_length.iter().zip(&par.per_length) {
+                    assert_eq!(a.method, b.method, "{what} l={}", a.l);
+                    assert_eq!(
+                        a.motif.map(|m| (m.a, m.b, m.dist.to_bits())),
+                        b.motif.map(|m| (m.a, m.b, m.dist.to_bits())),
+                        "{what} l={}",
+                        a.l
+                    );
                 }
-            }
-            for (i, (&x, &y)) in
-                base.valmp.norm_distances.iter().zip(&par.valmp.norm_distances).enumerate()
-            {
-                if x.is_finite() || y.is_finite() {
-                    assert!((x - y).abs() < 1e-7, "threads={threads} slot {i}: {x} vs {y}");
-                }
+                let bits =
+                    |v: &Valmp| v.norm_distances.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&par.valmp), bits(&base.valmp), "{what}: valmp");
+                assert_eq!(par.valmp.indices, base.valmp.indices, "{what}: valmp indices");
+                assert_eq!(par.valmp.lengths, base.valmp.lengths, "{what}: valmp lengths");
+                let frags = runner.clone().threads(threads).run_lengths_on(&ps, 16, 40).unwrap();
+                assert_fragments_bit_identical(&frags, &base_frags, &what);
             }
         }
     }
@@ -1073,6 +1061,29 @@ mod tests {
         assert_eq!(snap.histogram("core.submp.advance_us").unwrap().count, 48 - 16);
     }
 
+    #[test]
+    fn mass_calls_count_only_fft_seeded_refinements() {
+        use valmod_obs::Registry;
+        // Regression: every harvesting pass used to add MASS calls, though
+        // the diagonal passes seed by direct sums. Only the rows the
+        // last-chance pass recomputes are FFT-seeded.
+        let series = Series::new(fallback_rich_series(800)).unwrap();
+        for threads in [1usize, 2] {
+            let registry = Registry::new();
+            let out = Valmod::new(16, 48)
+                .p(8)
+                .threads(threads)
+                .recorder(SharedRecorder::from(registry.clone()))
+                .run(&series)
+                .unwrap();
+            let snap = registry.snapshot();
+            let refined: u64 = out.per_length.iter().map(|r| r.recomputed_rows as u64).sum();
+            assert!(refined > 0, "construction no longer reaches the refinement");
+            assert!(snap.counter("core.mp.full_profiles").unwrap() > 1, "no fallback pass");
+            assert_eq!(snap.counter("mp.mass.calls"), Some(refined), "threads={threads}");
+        }
+    }
+
     fn assert_fragments_bit_identical(a: &[LengthProfile], b: &[LengthProfile], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: fragment count");
         for (x, y) in a.iter().zip(b) {
@@ -1134,13 +1145,35 @@ mod tests {
     }
 
     #[test]
-    fn multi_threaded_capture_degrades_to_none() {
-        let ps = ProfiledSeries::from_values(&random_walk(300, 131)).unwrap();
-        let runner = Valmod::new(16, 24).p(4).threads(2);
-        let (frags, seg) = runner.run_lengths_capturing(&ps, 16, 24).unwrap();
-        assert!(seg.is_none(), "parallel kernel has no replayable tail");
-        let fresh = runner.run_lengths_on(&ps, 16, 24).unwrap();
-        assert_fragments_bit_identical(&frags, &fresh, "parallel fallback");
+    fn multi_threaded_capture_replays_and_extends_like_sequential() {
+        let values = fallback_rich_series(760);
+        let base_n = 700;
+        let base = ProfiledSeries::from_values(&values[..base_n]).unwrap();
+        let recorder = SharedRecorder::noop();
+        let runner = Valmod::new(1, 2).p(3);
+        let (seq_frags, seq) = runner.run_lengths_capturing(&base, 16, 44).unwrap();
+        let seq = seq.expect("threads=1 captures");
+        for threads in [2usize, 3] {
+            let what = format!("threads={threads}");
+            let par_runner = runner.clone().threads(threads);
+            let (frags, par) = par_runner.run_lengths_capturing(&base, 16, 44).unwrap();
+            assert_fragments_bit_identical(&frags, &seq_frags, &what);
+            let mut par = par.expect("every thread count captures");
+            assert_eq!((par.anchor(), par.n()), (seq.anchor(), seq.n()));
+            for hi in [44usize, 20, 52] {
+                let a = par.replay(&base, hi, &recorder).unwrap();
+                let b = seq.replay(&base, hi, &recorder).unwrap();
+                assert_fragments_bit_identical(&a, &b, &format!("{what} replay hi={hi}"));
+            }
+            let grown = ProfiledSeries::with_offset(&values, base.offset()).unwrap();
+            par.extend(&grown, &recorder).unwrap();
+            let mut seq_grown = seq.clone();
+            seq_grown.extend(&grown, &recorder).unwrap();
+            let a = par.replay(&grown, 44, &recorder).unwrap();
+            let b = seq_grown.replay(&grown, 44, &recorder).unwrap();
+            assert_fragments_bit_identical(&a, &b, &format!("{what} extended"));
+            assert!(a.iter().any(|lp| lp.method == LengthMethod::Fallback), "{what}: no fallback");
+        }
     }
 
     #[test]
@@ -1185,8 +1218,9 @@ mod tests {
         // fold: after any append schedule, its profile and every retained
         // (neighbor, qt, dist, lb_key) equal a cold capture of the grown
         // series, flat and near-flat stretches included.
-        use crate::compute_mp::compute_matrix_profile_capture_ws;
-        use crate::compute_mp::tests::{assert_harvests_bit_identical, flat_and_near_flat_series};
+        use crate::compute_mp::tests::{
+            assert_harvests_bit_identical, flat_and_near_flat_series, run_pass,
+        };
         let values = flat_and_near_flat_series(480, 83);
         let schedule = [1usize, 23, 60, 4];
         let base_n = 480 - schedule.iter().sum::<usize>();
@@ -1199,14 +1233,8 @@ mod tests {
             n += k;
             let grown = ProfiledSeries::with_offset(&values[..n], base.offset()).unwrap();
             seg.extend(&grown, &SharedRecorder::noop()).unwrap();
-            let (cold, _) = compute_matrix_profile_capture_ws(
-                &grown,
-                l,
-                p,
-                ExclusionPolicy::HALF,
-                &mut Workspace::new(),
-            )
-            .unwrap();
+            let pass = MpPass::new(l, p, ExclusionPolicy::HALF).capture(true);
+            let (cold, _) = run_pass(&grown, pass, &mut Workspace::new());
             assert_harvests_bit_identical(&seg.state, &cold, &format!("n={n}"));
         }
     }

@@ -34,9 +34,23 @@
 //! `diagonal-vs-row` holds the two kernels to bit-identical `mp` *and* `ip`
 //! arrays across every generator family and block size.
 //!
+//! ## One driver, any thread count
+//!
+//! [`fold_diagonals`] is the single driver under every kernel here and under
+//! `valmod-core`'s lower-bound harvest. It splits diagonals into
+//! cell-balanced [`diagonal_chunks`], one per visitor; the first chunk runs
+//! on the calling thread straight into the output, every other chunk on its
+//! own scoped worker into a private `(mp, ip)` pair that is min-merged
+//! afterwards. A cell's bits depend only on its diagonal's chain, never on
+//! which worker walks it, and the lexicographic min is associative and
+//! commutative — so the profile is bit-identical for *any* thread count.
+//! The same holds for the captured [`TailState`]: the chain head of diagonal
+//! `k` is the value its block leaves in flight, and each worker writes the
+//! slots of its own diagonals.
+//!
 //! ## Cells in correlation space
 //!
-//! The visitor receives `(i, j, qt, q, dist)`: the dot product, the Pearson
+//! Visitors receive `(i, j, qt, q, dist)`: the dot product, the Pearson
 //! correlation and the distance. Per-offset means and reciprocal σ are
 //! filled once per call into the workspace ([`CorrStats`]), so a cell costs
 //! the recurrence plus a multiply-only correlation and a sqrt — no
@@ -50,6 +64,7 @@ use valmod_obs::{Recorder, SharedRecorder};
 use crate::context::ProfiledSeries;
 use crate::distance::CorrStats;
 use crate::exclusion::ExclusionPolicy;
+use crate::extend::TailState;
 use crate::matrix_profile::MatrixProfile;
 use crate::parallel::resolve_threads;
 use crate::workspace::Workspace;
@@ -57,8 +72,9 @@ use crate::workspace::Workspace;
 /// Lexicographic `(distance, index)` min-update: `profile_min` keeps the
 /// first index achieving the row minimum, i.e. ties resolve to the smaller
 /// neighbour. The `is_finite` guard keeps never-updated slots at
-/// `(∞, usize::MAX)` exactly like the row kernel leaves them. Public so the
-/// fused harvesting traversal in `valmod-core` folds with the same rule.
+/// `(∞, usize::MAX)` exactly like the row kernel leaves them. Public so
+/// folds outside this module (the tail extension, the segment harvest in
+/// `valmod-core`) use the same rule.
 #[inline(always)]
 pub fn lex_update(mp: &mut f64, ip: &mut usize, d: f64, j: usize) {
     if d < *mp || (d == *mp && d.is_finite() && j < *ip) {
@@ -67,10 +83,21 @@ pub fn lex_update(mp: &mut f64, ip: &mut usize, d: f64, j: usize) {
     }
 }
 
-/// Fills the workspace seeds for one kernel call: the direct-summation first
-/// row (`qt_first[k] = ⟨T_0, T_k⟩`, see
+/// The read-only inputs every worker of one kernel call shares.
+#[derive(Clone, Copy)]
+struct Seeds<'a> {
+    t: &'a [f64],
+    l: usize,
+    ndp: usize,
+    qt_first: &'a [f64],
+    stats: &'a CorrStats,
+    block: usize,
+}
+
+/// Fills the workspace seeds for one kernel call — the direct-summation
+/// first row (`qt_first[k] = ⟨T_0, T_k⟩`, see
 /// [`seed_qt`](crate::distance_profile::seed_qt)) and the per-offset
-/// statistics. Returns `ndp`.
+/// statistics — and returns them with the workspace's in-flight QT buffer.
 ///
 /// The seeds are deliberately *not* FFT-computed: an FFT sliding dot product
 /// is bit-sensitive to the transform size and therefore to `n`, while the
@@ -79,39 +106,43 @@ pub fn lex_update(mp: &mut f64, ip: &mut usize, d: f64, j: usize) {
 /// the tail-extension path (`crate::extend`) continue the diagonal chains
 /// bit-identically. The `O(nℓ)` seed cost is negligible against the `O(n²)`
 /// traversal.
-fn prepare_seeds(ps: &ProfiledSeries, l: usize, ws: &mut Workspace) -> Result<usize> {
+fn prepare<'w>(
+    ps: &'w ProfiledSeries,
+    l: usize,
+    ws: &'w mut Workspace,
+) -> Result<(Seeds<'w>, &'w mut Vec<f64>)> {
     let ndp = ps.require_pairs(l)?;
+    ws.note_use();
+    let block = ws.block();
+    let Workspace { qt_first, diag, stats, .. } = ws;
     let t = ps.centered();
-    let Workspace { qt_first, stats, .. } = ws;
     crate::distance_profile::seed_qt_row_into(t, l, ndp, qt_first);
     debug_assert_eq!(qt_first.len(), ndp);
     stats.fill(ps, l, ndp);
-    Ok(ndp)
+    Ok((Seeds { t, l, ndp, qt_first, stats, block }, diag))
 }
 
 /// The blocked traversal of diagonals `[k_start, k_end)`: streams every cell
 /// `(i, j)` of that range to `visit(i, j, qt, q, dist)` — the one loop
-/// under the sequential, range and parallel kernels. `diag` is the
-/// caller's in-flight QT buffer.
-#[allow(clippy::too_many_arguments)]
+/// under every kernel. `diag` is the caller's in-flight QT buffer. A
+/// non-empty `tail` (one slot per diagonal of the range, diagonal `k` at
+/// `k_end − 1 − k`) receives each diagonal's last QT value, the chain head
+/// of cell `(ndp − 1 − k, ndp − 1)`.
 fn traverse_range<F>(
-    t: &[f64],
-    l: usize,
-    ndp: usize,
-    qt_first: &[f64],
-    stats: &CorrStats,
+    s: Seeds,
     (k_start, k_end): (usize, usize),
-    block: usize,
     diag: &mut Vec<f64>,
+    tail: &mut [f64],
     visit: &mut F,
 ) where
     F: FnMut(usize, usize, f64, f64, f64),
 {
+    let Seeds { t, l, ndp, .. } = s;
     let mut kb = k_start;
     while kb < k_end {
-        let bw = block.min(k_end - kb);
+        let bw = s.block.min(k_end - kb);
         diag.clear();
-        diag.extend_from_slice(&qt_first[kb..kb + bw]);
+        diag.extend_from_slice(&s.qt_first[kb..kb + bw]);
         // The block is a trapezoid: diagonal kb+c holds rows 0..ndp-(kb+c).
         for i in 0..ndp - kb {
             let w = bw.min(ndp - kb - i);
@@ -125,39 +156,124 @@ fn traverse_range<F>(
                     *q = *q - a * t[j - 1] + b * t[j + l - 1];
                 }
             }
-            stats.visit_line(i, i + kb, &diag[..w], l, &mut |j, qt, q, d| visit(i, j, qt, q, d));
+            s.stats.visit_line(i, i + kb, &diag[..w], l, &mut |j, qt, q, d| visit(i, j, qt, q, d));
+        }
+        if !tail.is_empty() {
+            // Diagonal kb+c last moved at row ndp-1-(kb+c), in column ndp-1.
+            for (c, &q) in diag.iter().enumerate() {
+                tail[k_end - 1 - (kb + c)] = q;
+            }
         }
         kb += bw;
     }
 }
 
-/// Streams every non-excluded cell of the upper triangle (`i < j`) to
-/// `visit(i, j, qt, q, dist)` — the dot product, the Pearson correlation
-/// ([`corr_and_dist`](crate::distance::corr_and_dist): `q = 1` when either
-/// side is flat) and the distance — traversing diagonals `radius..ndp` in
-/// blocks of `ws.block()` and reusing the workspace buffers.
+/// [`traverse_range`] plus the symmetric lexicographic min-fold of every
+/// cell into `(mp, ip)` — one worker's share of [`fold_diagonals`].
+fn fold_range<V>(
+    s: Seeds,
+    range: (usize, usize),
+    diag: &mut Vec<f64>,
+    (mp, ip): (&mut [f64], &mut [usize]),
+    tail: &mut [f64],
+    visit: &mut V,
+) where
+    V: FnMut(usize, usize, f64, f64, f64),
+{
+    traverse_range(s, range, diag, tail, &mut |i, j, qt, q, d| {
+        lex_update(&mut mp[i], &mut ip[i], d, j);
+        lex_update(&mut mp[j], &mut ip[j], d, i);
+        visit(i, j, qt, q, d);
+    });
+}
+
+/// Splits the last-column buffer into per-chunk slots: diagonal `k`'s chain
+/// head lives at index `ndp − 1 − k`, so chunks ascending in `k` own
+/// disjoint, descending slices. An empty buffer (no capture) yields empty
+/// slots.
+fn tail_slots<'a>(mut tail: &'a mut [f64], chunks: &[(usize, usize)]) -> Vec<&'a mut [f64]> {
+    let mut slots = Vec::with_capacity(chunks.len());
+    for &(k_start, k_end) in chunks.iter().rev() {
+        let width = (k_end - k_start).min(tail.len());
+        let (slot, rest) = std::mem::take(&mut tail).split_at_mut(width);
+        slots.push(slot);
+        tail = rest;
+    }
+    slots.reverse();
+    slots
+}
+
+/// The one traversal driver: computes the matrix profile at length `l` and
+/// streams every non-excluded cell of the upper triangle (`i < j`) to a
+/// visitor as `(i, j, qt, q, dist)` — the dot product, the Pearson
+/// correlation ([`corr_and_dist`](crate::distance::corr_and_dist): `q = 1`
+/// when either side is flat) and the distance. With `capture` it also
+/// returns the [`TailState`] the extension path continues from.
 ///
-/// Within a fixed `i`, cells arrive in ascending `j`; for a fixed `j`, in
-/// ascending `i` — so a lexicographic min-fold over the visits reproduces
-/// the row kernel's profile exactly. Returns `ndp`.
-pub fn diagonal_cells<F>(
+/// Diagonals `radius..ndp` are split into one cell-balanced
+/// [`diagonal_chunks`] range per visitor (`visitors.len()` is the thread
+/// count; pass one visitor for the sequential kernel). The first range runs
+/// on the calling thread straight into the output; each other range runs on
+/// its own scoped worker with its own visitor and a private `(mp, ip)` pair,
+/// min-merged afterwards. The profile and the tail are bit-identical for
+/// any number of visitors; each cell reaches exactly one visitor. Within
+/// one range, for a fixed `i` cells arrive in ascending `j` and for a fixed
+/// `j` in ascending `i`.
+///
+/// # Panics
+/// If `visitors` is empty.
+pub fn fold_diagonals<V>(
     ps: &ProfiledSeries,
     l: usize,
-    policy: &ExclusionPolicy,
+    policy: ExclusionPolicy,
+    capture: bool,
     ws: &mut Workspace,
-    mut visit: F,
-) -> Result<usize>
+    visitors: &mut [V],
+) -> Result<(MatrixProfile, Option<TailState>)>
 where
-    F: FnMut(usize, usize, f64, f64, f64),
+    V: FnMut(usize, usize, f64, f64, f64) + Send,
 {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let Workspace { qt_first, diag, stats, .. } = ws;
-    let range = (policy.radius(l).min(ndp), ndp);
-    traverse_range(ps.centered(), l, ndp, qt_first, stats, range, block, diag, &mut visit);
-    Ok(ndp)
+    assert!(!visitors.is_empty(), "fold_diagonals needs at least one visitor");
+    let (seeds, diag) = prepare(ps, l, ws)?;
+    let (ndp, radius) = (seeds.ndp, policy.radius(l));
+    let chunks = diagonal_chunks(ndp, radius, visitors.len());
+    let mut mp = vec![f64::INFINITY; ndp];
+    let mut ip = vec![usize::MAX; ndp];
+    let mut tail = vec![0.0f64; if capture { ndp.saturating_sub(radius) } else { 0 }];
+    let mut jobs =
+        chunks.iter().copied().zip(visitors.iter_mut()).zip(tail_slots(&mut tail, &chunks));
+    if let Some(((first, visit), slot)) = jobs.next() {
+        let rest: Vec<_> = jobs.collect();
+        if rest.is_empty() {
+            fold_range(seeds, first, diag, (&mut mp, &mut ip), slot, visit);
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = rest
+                    .into_iter()
+                    .map(|((range, visit), slot)| {
+                        scope.spawn(move || {
+                            let mut lmp = vec![f64::INFINITY; ndp];
+                            let mut lip = vec![usize::MAX; ndp];
+                            let mut diag = Vec::with_capacity(seeds.block);
+                            fold_range(seeds, range, &mut diag, (&mut lmp, &mut lip), slot, visit);
+                            (lmp, lip)
+                        })
+                    })
+                    .collect();
+                fold_range(seeds, first, diag, (&mut mp, &mut ip), slot, visit);
+                for worker in workers {
+                    let (lmp, lip) = worker.join().expect("diagonal worker panicked");
+                    merge_slots(&mut mp, &mut ip, &lmp, &lip);
+                }
+            });
+        }
+    }
+    let profile = MatrixProfile { l, mp, ip, exclusion_radius: radius };
+    Ok((profile, capture.then(|| TailState::captured(ps, l, radius, tail))))
 }
+
+/// The visitor of the bare kernels: the min-fold is all they need.
+pub(crate) fn no_visit(_: usize, _: usize, _: f64, _: f64, _: f64) {}
 
 /// Number of diagonal blocks the blocked traversal of `ndp` subsequences
 /// visits (for the `mp.diag.blocks` counter).
@@ -193,22 +309,16 @@ pub fn stomp_diagonal_with(
     let observe = recorder.enabled();
     let (hits0, misses0, reused) =
         (ws.plan_cache().hits(), ws.plan_cache().misses(), ws.uses() > 0);
-    let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    diagonal_cells(ps, l, &policy, ws, |i, j, _qt, _q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-    })?;
+    let (profile, _) = fold_diagonals(ps, l, policy, false, ws, &mut [no_visit])?;
     if observe {
-        recorder.add("mp.diag.blocks", block_count(ndp, policy.radius(l), ws.block()));
+        recorder.add("mp.diag.blocks", block_count(profile.len(), policy.radius(l), ws.block()));
         if reused {
             recorder.add("mp.workspace.reuses", 1);
         }
         recorder.add("fft.plan_cache.hits", ws.plan_cache().hits() - hits0);
         recorder.add("fft.plan_cache.misses", ws.plan_cache().misses() - misses0);
     }
-    Ok(MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) })
+    Ok(profile)
 }
 
 /// Splits diagonals `[radius, ndp)` into at most `threads` contiguous
@@ -244,27 +354,6 @@ pub fn diagonal_chunks(ndp: usize, radius: usize, threads: usize) -> Vec<(usize,
     chunks
 }
 
-/// Min-folds diagonals `[k_start, k_end)` into `(mp, ip)` with a local QT
-/// buffer — the per-worker body of the range and parallel kernels.
-#[allow(clippy::too_many_arguments)]
-fn diagonal_range_minfold(
-    t: &[f64],
-    l: usize,
-    ndp: usize,
-    qt_first: &[f64],
-    stats: &CorrStats,
-    range: (usize, usize),
-    block: usize,
-    mp: &mut [f64],
-    ip: &mut [usize],
-) {
-    let mut diag = Vec::with_capacity(block.min(range.1 - range.0));
-    traverse_range(t, l, ndp, qt_first, stats, range, block, &mut diag, &mut |i, j, _qt, _q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-    });
-}
-
 /// Computes the *partial* matrix profile contributed by diagonals
 /// `[k_start, k_end)` alone: a full-length `(mp, ip)` pair where slots never
 /// touched by this range stay at `(∞, usize::MAX)`. The range must lie within
@@ -282,29 +371,20 @@ pub fn stomp_diagonal_range_ws(
     (k_start, k_end): (usize, usize),
     ws: &mut Workspace,
 ) -> Result<MatrixProfile> {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let t = ps.centered();
-    let radius = policy.radius(l);
+    let (seeds, diag) = prepare(ps, l, ws)?;
+    let (ndp, radius) = (seeds.ndp, policy.radius(l));
     let mut mp = vec![f64::INFINITY; ndp];
     let mut ip = vec![usize::MAX; ndp];
-    let (k_start, k_end) = (k_start.clamp(radius, ndp), k_end.clamp(radius, ndp));
-    if k_start < k_end {
-        let Workspace { qt_first, stats, .. } = ws;
-        diagonal_range_minfold(
-            t,
-            l,
-            ndp,
-            qt_first,
-            stats,
-            (k_start, k_end),
-            block,
-            &mut mp,
-            &mut ip,
-        );
-    }
+    let range = (k_start.clamp(radius, ndp), k_end.clamp(radius, ndp));
+    fold_range(seeds, range, diag, (&mut mp, &mut ip), &mut [], &mut no_visit);
     Ok(MatrixProfile { l, mp, ip, exclusion_radius: radius })
+}
+
+/// Min-merges `(src_mp, src_ip)` into `(mp, ip)` slot by slot.
+fn merge_slots(mp: &mut [f64], ip: &mut [usize], src_mp: &[f64], src_ip: &[usize]) {
+    for i in 0..mp.len() {
+        lex_update(&mut mp[i], &mut ip[i], src_mp[i], src_ip[i]);
+    }
 }
 
 /// Lexicographically min-merges the partial profile `src` into `dst`
@@ -318,18 +398,13 @@ pub fn stomp_diagonal_range_ws(
 pub fn merge_partial(dst: &mut MatrixProfile, src: &MatrixProfile) {
     assert_eq!(dst.l, src.l, "merge_partial: subsequence length mismatch");
     assert_eq!(dst.len(), src.len(), "merge_partial: profile length mismatch");
-    for i in 0..src.len() {
-        lex_update(&mut dst.mp[i], &mut dst.ip[i], src.mp[i], src.ip[i]);
-    }
+    merge_slots(&mut dst.mp, &mut dst.ip, &src.mp, &src.ip);
 }
 
-/// The parallel diagonal-blocked matrix profile: diagonals are partitioned
-/// into cell-balanced contiguous ranges, each worker min-folds into its own
-/// full-length profile, and the per-worker profiles merge lexicographically.
-///
-/// The lexicographic `(distance, index)` min is associative and commutative,
-/// so the result is bit-identical to the sequential kernel — and therefore
-/// to the row kernel — for *any* thread count.
+/// The parallel diagonal-blocked matrix profile: [`fold_diagonals`] with
+/// `threads` workers (0 = all available cores). Bit-identical to the
+/// sequential kernel — and therefore to the row kernel — for *any* thread
+/// count; with one thread it *is* the sequential kernel.
 pub fn stomp_diagonal_parallel_ws(
     ps: &ProfiledSeries,
     l: usize,
@@ -337,46 +412,8 @@ pub fn stomp_diagonal_parallel_ws(
     threads: usize,
     ws: &mut Workspace,
 ) -> Result<MatrixProfile> {
-    let ndp = prepare_seeds(ps, l, ws)?;
-    ws.note_use();
-    let block = ws.block();
-    let t = ps.centered();
-    let radius = policy.radius(l);
-    let chunks = diagonal_chunks(ndp, radius, threads);
-    let (qt_first, stats) = (&ws.qt_first, &ws.stats);
-
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    if let [only] = chunks[..] {
-        // One worker: fold straight into the output, no merge copy.
-        diagonal_range_minfold(t, l, ndp, qt_first, stats, only, block, &mut mp, &mut ip);
-    } else {
-        let locals = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&range| {
-                    scope.spawn(move || {
-                        let mut lmp = vec![f64::INFINITY; ndp];
-                        let mut lip = vec![usize::MAX; ndp];
-                        diagonal_range_minfold(
-                            t, l, ndp, qt_first, stats, range, block, &mut lmp, &mut lip,
-                        );
-                        (lmp, lip)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("diagonal worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (lmp, lip) in locals {
-            for i in 0..ndp {
-                lex_update(&mut mp[i], &mut ip[i], lmp[i], lip[i]);
-            }
-        }
-    }
-    Ok(MatrixProfile { l, mp, ip, exclusion_radius: radius })
+    let mut visitors = vec![no_visit; resolve_threads(threads)];
+    Ok(fold_diagonals(ps, l, policy, false, ws, &mut visitors)?.0)
 }
 
 #[cfg(test)]
@@ -442,6 +479,49 @@ mod tests {
             let par = stomp_diagonal_parallel_ws(&ps, 24, ExclusionPolicy::HALF, threads, &mut ws)
                 .unwrap();
             assert_profiles_bit_identical(&par, &row, &format!("threads={threads}"));
+        }
+    }
+
+    #[test]
+    fn captured_tail_is_identical_for_any_thread_count() {
+        // Every worker writes the chain heads of its own diagonals: the
+        // capture at any thread count must extend exactly like the
+        // sequential one.
+        let series = random_walk(400, 41);
+        let base = ProfiledSeries::from_values(&series[..330]).unwrap();
+        let grown = ProfiledSeries::with_offset(&series, base.offset()).unwrap();
+        let policy = ExclusionPolicy::HALF;
+        let (mut seq, mut seq_tail) = crate::extend::stomp_with_tail(&base, 18, policy).unwrap();
+        crate::extend::extend_profile(&mut seq, &mut seq_tail, &grown).unwrap();
+        for (threads, block) in [(2usize, 7usize), (3, 1), (7, 256), (64, 5)] {
+            let mut visitors = vec![no_visit; threads];
+            let mut ws = Workspace::with_block(block);
+            let (mut par, tail) =
+                fold_diagonals(&base, 18, policy, true, &mut ws, &mut visitors).unwrap();
+            let mut tail = tail.expect("capture requested");
+            crate::extend::extend_profile(&mut par, &mut tail, &grown).unwrap();
+            assert_profiles_bit_identical(&par, &seq, &format!("threads={threads}"));
+        }
+    }
+
+    #[test]
+    fn every_cell_reaches_exactly_one_visitor() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let ps = ProfiledSeries::from_values(&random_walk(150, 3)).unwrap();
+        let (l, policy) = (12usize, ExclusionPolicy::HALF);
+        let ndp = ps.num_subsequences(l);
+        let seen: Vec<AtomicU64> = (0..ndp * ndp).map(|_| AtomicU64::new(0)).collect();
+        let visit = |i: usize, j: usize, _: f64, _: f64, _: f64| {
+            seen[i * ndp + j].fetch_add(1, Ordering::Relaxed);
+        };
+        let mut ws = Workspace::with_block(4);
+        fold_diagonals(&ps, l, policy, false, &mut ws, &mut [visit; 3]).unwrap();
+        let radius = policy.radius(l);
+        for i in 0..ndp {
+            for j in 0..ndp {
+                let want = u64::from(j >= i + radius);
+                assert_eq!(seen[i * ndp + j].load(Ordering::Relaxed), want, "cell ({i}, {j})");
+            }
         }
     }
 

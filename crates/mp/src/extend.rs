@@ -31,7 +31,7 @@
 use valmod_data::error::{DataError, Result};
 
 use crate::context::ProfiledSeries;
-use crate::diagonal::{diagonal_cells, lex_update};
+use crate::diagonal::{fold_diagonals, lex_update, no_visit};
 use crate::distance::CorrStats;
 use crate::distance_profile::seed_qt;
 use crate::exclusion::ExclusionPolicy;
@@ -85,6 +85,12 @@ impl TailState {
         self.check(ps)
     }
 
+    /// The state a cold traversal of `ps` at length `l` leaves behind:
+    /// `qt` holds the last-column chain heads, diagonal `k` at `ndp − 1 − k`.
+    pub(crate) fn captured(ps: &ProfiledSeries, l: usize, radius: usize, qt: Vec<f64>) -> Self {
+        TailState { l, radius, n: ps.len(), offset_bits: ps.offset().to_bits(), qt }
+    }
+
     fn check(&self, ps: &ProfiledSeries) -> Result<(usize, usize)> {
         if ps.offset().to_bits() != self.offset_bits {
             return Err(DataError::InvalidParameter(
@@ -121,48 +127,13 @@ pub fn stomp_with_tail_ws(
     policy: ExclusionPolicy,
     ws: &mut Workspace,
 ) -> Result<(MatrixProfile, TailState)> {
-    let ndp = ps.require_pairs(l)?;
-    let mut mp = vec![f64::INFINITY; ndp];
-    let mut ip = vec![usize::MAX; ndp];
-    let state = capture_cells(ps, l, policy, ws, |i, j, _qt, _q, d| {
-        lex_update(&mut mp[i], &mut ip[i], d, j);
-        lex_update(&mut mp[j], &mut ip[j], d, i);
-    })?;
-    Ok((MatrixProfile { l, mp, ip, exclusion_radius: policy.radius(l) }, state))
-}
-
-/// Runs the cold diagonal traversal, streaming every cell
-/// `(i, j, qt, q, dist)` to `visit` exactly as [`diagonal_cells`] does, while capturing the
-/// [`TailState`] — the QT values of the matrix's last column. This lets
-/// callers with richer per-cell folds (e.g. `valmod-core`'s fused
-/// lower-bound harvest) become extension-ready without a second pass.
-pub fn capture_cells<F>(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: ExclusionPolicy,
-    ws: &mut Workspace,
-    mut visit: F,
-) -> Result<TailState>
-where
-    F: FnMut(usize, usize, f64, f64, f64),
-{
-    let ndp = ps.require_pairs(l)?;
-    let radius = policy.radius(l);
-    let mut last = vec![0.0f64; ndp.saturating_sub(radius)];
-    diagonal_cells(ps, l, &policy, ws, |i, j, qt, q, d| {
-        visit(i, j, qt, q, d);
-        if j == ndp - 1 {
-            // The final cell of diagonal ndp−1−i: the chain head a future
-            // extension continues from.
-            last[i] = qt;
-        }
-    })?;
-    Ok(TailState { l, radius, n: ps.len(), offset_bits: ps.offset().to_bits(), qt: last })
+    let (profile, tail) = fold_diagonals(ps, l, policy, true, ws, &mut [no_visit])?;
+    Ok((profile, tail.expect("capturing traversal returns its tail")))
 }
 
 /// Streams every cell the series growth added — `(i, j, qt, q, dist)` with
-/// `j ≥ old_ndp`, `j − i ≥ radius`, the same tuple [`diagonal_cells`]
-/// hands out — to `visit`, advancing the state to `ps.len()` samples. Cells
+/// `j ≥ old_ndp`, `j − i ≥ radius`, the same tuple [`fold_diagonals`]
+/// hands its visitors — to `visit`, advancing the state to `ps.len()` samples. Cells
 /// arrive column by column (ascending `j`, then ascending `i`), each
 /// exactly once. Returns `(old_ndp, new_ndp)`.
 ///

@@ -7,10 +7,11 @@
 //!
 //! The hot path is the cache-friendly [`diagonal`]-blocked STOMP kernel,
 //! backed by a reusable [`workspace::Workspace`] (scratch buffers + FFT plan
-//! cache); the [`stomp::StompDriver`] row streamer remains as its
-//! differential oracle and as the shared kernel for VALMOD's row-harvesting
-//! `ComputeMatrixProfile` (in `valmod-core`). The two kernels are
-//! bit-identical — `valmod-check` enforces it.
+//! cache). Its one driver, [`diagonal::fold_diagonals`], serves the
+//! sequential, parallel and capturing kernels and VALMOD's harvesting
+//! `ComputeMatrixProfile` (in `valmod-core`) at any thread count. The
+//! [`stomp::StompDriver`] row streamer remains as the differential oracle;
+//! the two kernels are bit-identical — `valmod-check` enforces it.
 //!
 //! ## Quick example
 //!
@@ -50,20 +51,18 @@ pub mod workspace;
 
 pub use context::ProfiledSeries;
 pub use diagonal::{
-    diagonal_cells, diagonal_chunks, lex_update, merge_partial, stomp_diagonal_parallel_ws,
+    diagonal_chunks, fold_diagonals, lex_update, merge_partial, stomp_diagonal_parallel_ws,
     stomp_diagonal_range_ws, stomp_diagonal_ws,
 };
 pub use discord::{top_discords, Discord};
 pub use distance::{dist_from_qt, length_normalize, zdist_naive};
 pub use distance_profile::{mass, self_distance_profile};
 pub use exclusion::ExclusionPolicy;
-pub use extend::{
-    capture_cells, extend_cells, extend_profile, stomp_with_tail, stomp_with_tail_ws, TailState,
-};
+pub use extend::{extend_cells, extend_profile, stomp_with_tail, stomp_with_tail_ws, TailState};
 pub use join::{ab_join, closest_cross_pair};
 pub use matrix_profile::MatrixProfile;
 pub use motif::{top_motifs, MotifPair};
-pub use parallel::{resolve_threads, stomp_parallel, stomp_parallel_with, stomp_rows};
+pub use parallel::{resolve_threads, stomp_parallel, stomp_parallel_with};
 pub use stamp::stamp;
 pub use stomp::{stomp, stomp_row, StompDriver};
 pub use streaming::StreamingProfile;

@@ -3,23 +3,17 @@
 //! The paper (§2) notes that matrix-profile computation parallelises
 //! trivially ("GPUs, cloud computing, and other HPC environments").
 //! [`stomp_parallel`] partitions the *diagonals* of the distance matrix into
-//! cell-balanced contiguous ranges (see [`crate::diagonal`]), one blocked
-//! traversal per worker, and merges the per-worker profiles with the
-//! lexicographic min — which is associative, so the result is bit-identical
-//! to the sequential kernel for any thread count.
-//!
-//! The older row-chunked machinery stays: [`stomp_rows`] is a visitor-based
-//! kernel that hands each row's distance profile *and* dot-product vector to
-//! a closure, and [`row_chunks`] splits rows across workers. `valmod-core`'s
-//! chunked lower-bound harvest still builds on them (harvesting needs full
-//! rows), as do the differential oracles.
+//! cell-balanced contiguous ranges, one blocked traversal per worker, and
+//! merges the per-worker profiles with the lexicographic min — which is
+//! associative, so the result is bit-identical to the sequential kernel for
+//! any thread count. The spawn/merge loop is
+//! [`fold_diagonals`](crate::diagonal::fold_diagonals), the same driver
+//! `valmod-core`'s lower-bound harvest runs on.
 
 use valmod_data::error::Result;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::context::ProfiledSeries;
-use crate::distance::CorrStats;
-use crate::distance_profile::{dp_from_qt_into, self_qt};
 use crate::exclusion::ExclusionPolicy;
 use crate::matrix_profile::MatrixProfile;
 
@@ -33,75 +27,9 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Splits `ndp` rows into at most `threads` contiguous `(start, len)`
-/// chunks. Every chunk is non-empty and the chunks cover `[0, ndp)` in
-/// order; with `ndp` not divisible by the thread count the last chunk is
-/// short.
-pub fn row_chunks(ndp: usize, threads: usize) -> Vec<(usize, usize)> {
-    if ndp == 0 {
-        return Vec::new();
-    }
-    let threads = resolve_threads(threads).clamp(1, ndp);
-    let chunk_len = ndp.div_ceil(threads);
-    let mut chunks = Vec::with_capacity(threads);
-    let mut start = 0;
-    while start < ndp {
-        let len = chunk_len.min(ndp - start);
-        chunks.push((start, len));
-        start += len;
-    }
-    chunks
-}
-
-/// Streams rows `[row_start, row_start + row_len)` of the self-join distance
-/// matrix to `visit`, which receives `(row, distance_profile, qt)` where
-/// `qt[j] = ⟨T_row, T_j⟩` on the centered series.
-///
-/// The first row of the range is seeded with one FFT pass
-/// ([`self_qt`]); subsequent rows use the `O(1)`-per-cell STOMP update, with
-/// column 0 recovered by symmetry (`⟨T_i, T_0⟩ = ⟨T_0, T_i⟩`, a direct
-/// `O(ℓ)` dot product) so chunks never need each other's state; they share
-/// the length's per-offset statistics `stats` (a [`CorrStats`] filled for
-/// `l`). The caller must have validated `l` (e.g. via
-/// [`ProfiledSeries::require_pairs`]) and `row_start + row_len <= ndp`.
-pub fn stomp_rows<F>(
-    ps: &ProfiledSeries,
-    l: usize,
-    policy: &ExclusionPolicy,
-    stats: &CorrStats,
-    row_start: usize,
-    row_len: usize,
-    mut visit: F,
-) where
-    F: FnMut(usize, &[f64], &[f64]),
-{
-    if row_len == 0 {
-        return;
-    }
-    let ndp = ps.num_subsequences(l);
-    debug_assert!(row_start + row_len <= ndp);
-    let t = ps.centered();
-    // Seed: the full dot-product vector of the range's first row (FFT).
-    let mut qt = self_qt(ps, row_start, l);
-    let mut dp = Vec::with_capacity(ndp);
-    for i in row_start..row_start + row_len {
-        if i > row_start {
-            // STOMP update, descending j (paper Alg. 3 lines 10–12).
-            for j in (1..ndp).rev() {
-                qt[j] = qt[j - 1] - t[i - 1] * t[j - 1] + t[i + l - 1] * t[j + l - 1];
-            }
-            // First column by symmetry: ⟨T_0, T_i⟩ = ⟨T_i, T_0⟩, computed
-            // directly (cheap O(ℓ); avoids sharing the seed row across
-            // chunks).
-            qt[0] = t[0..l].iter().zip(&t[i..i + l]).map(|(a, b)| a * b).sum();
-        }
-        dp_from_qt_into(stats, &qt, i, l, policy, &mut dp);
-        visit(i, &dp, &qt);
-    }
-}
-
-/// Computes the matrix profile with `threads` workers (1 = sequential
-/// fallback identical to [`crate::stomp::stomp`]; 0 = all available cores).
+/// Computes the matrix profile with `threads` workers (0 = all available
+/// cores). Bit-identical to [`crate::stomp::stomp`] for every thread count;
+/// with one thread it runs the same single-range fold.
 pub fn stomp_parallel(
     ps: &ProfiledSeries,
     l: usize,
@@ -112,10 +40,9 @@ pub fn stomp_parallel(
 }
 
 /// [`stomp_parallel`] with instrumentation: the whole parallel traversal is
-/// timed into `mp.diag.parallel_us`, the single FFT seed into
-/// `mp.mass.calls`, the row total into `mp.stomp.rows`, and the block count
-/// into `mp.diag.blocks`. With a disabled recorder the only cost is one
-/// `enabled()` branch per call.
+/// timed into `mp.diag.parallel_us`, the row total into `mp.stomp.rows`,
+/// and the block count into `mp.diag.blocks`. With a disabled recorder the
+/// only cost is one `enabled()` branch per call.
 pub fn stomp_parallel_with(
     ps: &ProfiledSeries,
     l: usize,
@@ -129,8 +56,6 @@ pub fn stomp_parallel_with(
         crate::diagonal::stomp_diagonal_parallel_ws(ps, l, policy, threads, &mut ws)?
     };
     if recorder.enabled() {
-        // One FFT-seeded first row; every other cell uses the O(1) update.
-        recorder.add("mp.mass.calls", 1);
         recorder.add("mp.stomp.rows", profile.len() as u64);
         recorder.add(
             "mp.diag.blocks",
@@ -152,16 +77,8 @@ mod tests {
         let par = stomp_parallel(&ps, l, ExclusionPolicy::HALF, threads).unwrap();
         assert_eq!(seq.len(), par.len());
         for i in 0..seq.len() {
-            if seq.mp[i].is_infinite() || par.mp[i].is_infinite() {
-                assert_eq!(seq.mp[i].is_infinite(), par.mp[i].is_infinite(), "row {i}");
-            } else {
-                assert!(
-                    (seq.mp[i] - par.mp[i]).abs() < 1e-7,
-                    "row {i}: {} vs {}",
-                    seq.mp[i],
-                    par.mp[i]
-                );
-            }
+            assert_eq!(seq.mp[i].to_bits(), par.mp[i].to_bits(), "threads={threads} mp[{i}]");
+            assert_eq!(seq.ip[i], par.ip[i], "threads={threads} ip[{i}]");
         }
     }
 
@@ -190,35 +107,22 @@ mod tests {
     }
 
     #[test]
-    fn row_chunks_cover_exactly_once() {
-        for (ndp, threads) in [(10, 3), (7, 7), (5, 16), (1, 1), (100, 7), (0, 4)] {
-            let chunks = row_chunks(ndp, threads);
-            let mut next = 0;
-            for &(start, len) in &chunks {
-                assert_eq!(start, next);
-                assert!(len > 0);
-                next += len;
-            }
-            assert_eq!(next, ndp);
-        }
-    }
-
-    #[test]
-    fn visitor_sees_each_row_once_with_qt() {
-        let ps = ProfiledSeries::from_values(&random_walk(80, 2)).unwrap();
-        let l = 8;
-        let t = ps.centered();
-        let mut rows = Vec::new();
-        let stats = CorrStats::new(&ps, l, ps.num_subsequences(l));
-        stomp_rows(&ps, l, &ExclusionPolicy::HALF, &stats, 3, 5, |i, dp, qt| {
-            rows.push(i);
-            assert_eq!(dp.len(), qt.len());
-            // qt really is the dot-product row of the centered series.
-            for (j, &q) in qt.iter().enumerate().step_by(17) {
-                let direct: f64 = t[i..i + l].iter().zip(&t[j..j + l]).map(|(a, b)| a * b).sum();
-                assert!((q - direct).abs() < 1e-6, "qt[{j}] at row {i}");
-            }
-        });
-        assert_eq!(rows, vec![3, 4, 5, 6, 7]);
+    fn recorder_counts_rows_and_blocks_but_no_fft_seeds() {
+        use valmod_obs::Registry;
+        let ps = ProfiledSeries::from_values(&random_walk(300, 17)).unwrap();
+        let registry = Registry::new();
+        stomp_parallel_with(
+            &ps,
+            20,
+            ExclusionPolicy::HALF,
+            2,
+            &SharedRecorder::from(registry.clone()),
+        )
+        .unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("mp.stomp.rows"), Some(300 - 20 + 1));
+        assert!(snap.counter("mp.diag.blocks").unwrap() > 0);
+        // Direct-sum seeds: the kernel never runs MASS.
+        assert_eq!(snap.counter("mp.mass.calls"), None);
     }
 }

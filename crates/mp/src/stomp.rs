@@ -6,9 +6,10 @@
 //! it delegates to [`crate::diagonal::stomp_diagonal_ws`], which is
 //! bit-identical to the row traversal here but cache-friendly. The
 //! row-by-row machinery stays as [`StompDriver`] / [`stomp_row`]: it is the
-//! differential oracle for the diagonal kernel (`valmod-check`'s
-//! `diagonal-vs-row`) and the row streamer the chunked parallel harvest in
-//! `valmod-core` builds on.
+//! reference oracle for the diagonal kernel (`valmod-check`'s
+//! `diagonal-vs-row`) and, through `valmod-core`'s row-streamed harvest,
+//! for the fused lower-bound harvest (`harvest-vs-row`). No production path
+//! runs it.
 
 use valmod_data::error::Result;
 

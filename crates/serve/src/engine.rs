@@ -1519,6 +1519,46 @@ mod tests {
     }
 
     #[test]
+    fn threaded_kernels_revive_fragments_and_match_one_thread() {
+        // Every thread count captures its segment states, so a
+        // kernel_threads(2) engine extends parked fragments on APPEND
+        // instead of recomputing, and its bodies equal a kernel_threads(1)
+        // engine's byte for byte.
+        let (values, _) = plant_motif(700, 24, 2, 0.001, 41);
+        let tail = random_walk(40, 43);
+        let run = |threads: usize| {
+            let eng = QueryEngine::new(
+                EngineConfig::builder()
+                    .workers(1)
+                    .cache_bytes(0)
+                    .kernel_threads(threads)
+                    .build()
+                    .unwrap(),
+            );
+            eng.load("s", values.clone(), &[], ExclusionPolicy::HALF, false).unwrap();
+            let mut bodies = vec![eng.query(motif_spec("s", 16, 40)).unwrap()];
+            eng.append("s", &tail[..25]).unwrap();
+            bodies.push(eng.query(motif_spec("s", 16, 40)).unwrap());
+            eng.append("s", &tail[25..]).unwrap();
+            let mut discords = motif_spec("s", 20, 36);
+            discords.kind = QueryKind::Discords { top: 2 };
+            bodies.push(eng.query(discords).unwrap());
+            let stats = eng.stats();
+            let extended = stats.get("planner").unwrap().get("fragments_extended").unwrap();
+            let extended = extended.as_usize().unwrap();
+            let bodies: Vec<String> =
+                bodies.iter().map(|r| r.payload.get("body").unwrap().encode()).collect();
+            eng.shutdown();
+            eng.join();
+            (bodies, extended)
+        };
+        let (one, _) = run(1);
+        let (two, extended) = run(2);
+        assert!(extended > 0, "kernel_threads(2) recomputed instead of extending");
+        assert_eq!(two, one, "bodies differ between kernel thread counts");
+    }
+
+    #[test]
     fn split_budget_sums_exactly_and_spreads_the_remainder() {
         assert_eq!(split_budget(0, 8).iter().sum::<usize>(), 0);
         assert_eq!(split_budget(10, 3), vec![4, 3, 3]);

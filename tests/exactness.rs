@@ -112,9 +112,10 @@ fn larger_p_never_changes_results_only_work() {
 #[test]
 fn thread_counts_never_change_results_only_wall_clock() {
     // 877 rows at l_min = 24 (prime ndp): no thread count in the sweep
-    // divides it, so every chunking has a short tail chunk. p = 1 keeps the
-    // heaps tiny, stressing the non-valid path and last-chance refinement
-    // under the threaded first pass.
+    // divides it, so every row chunking of the sub-MP advance has a short
+    // tail chunk. p = 1 keeps the heaps tiny, stressing the non-valid path
+    // and last-chance refinement under the threaded first pass. Every
+    // thread count must reproduce the sequential answer bit for bit.
     let series = Dataset::Emg.generate(N, 7);
     let ps = ProfiledSeries::new(&series);
     for p in [1usize, 6] {
@@ -124,9 +125,20 @@ fn thread_counts_never_change_results_only_wall_clock() {
             let cfg = ValmodConfig::new(L_MIN, L_MAX).with_p(p).with_threads(threads);
             let out = Valmod::from_config(cfg).run_on(&ps).unwrap();
             for (a, b) in base.per_length.iter().zip(&out.per_length) {
-                let (x, y) = (a.motif.unwrap().dist, b.motif.unwrap().dist);
-                assert!((x - y).abs() < 1e-7, "p={p} threads={threads} l={}: {x} vs {y}", a.l);
+                let (x, y) = (a.motif.unwrap(), b.motif.unwrap());
+                assert_eq!(
+                    (x.a, x.b, x.dist.to_bits()),
+                    (y.a, y.b, y.dist.to_bits()),
+                    "p={p} threads={threads} l={}",
+                    a.l
+                );
             }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&out.valmp.norm_distances),
+                bits(&base.valmp.norm_distances),
+                "p={p} threads={threads}: valmp"
+            );
         }
     }
 }
