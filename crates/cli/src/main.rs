@@ -490,6 +490,24 @@ fn cmd_query(args: &Args) -> CliResult {
     Ok(())
 }
 
+/// One cache's LRU accounting from a STATS section whose keys carry
+/// `prefix` (`cache` has none, `planner` has `fragment_`).
+fn lru_line(section: &WireValue, prefix: &str) -> String {
+    let n = |key: &str| {
+        section.get(&format!("{prefix}{key}")).and_then(WireValue::as_usize).unwrap_or(0)
+    };
+    format!(
+        "{} entries, {}/{} bytes, {} hits / {} misses, {} evicted, {} invalidated",
+        n("entries"),
+        n("used_bytes"),
+        n("budget_bytes"),
+        n("hits"),
+        n("misses"),
+        n("evictions"),
+        n("invalidated")
+    )
+}
+
 /// `valmod stats`: the observability view. Fetches STATS from a running
 /// server and renders the engine counters plus the metric registry (the
 /// "obs" section the observability layer threads through the stack) as a
@@ -515,16 +533,15 @@ fn cmd_stats(args: &Args) -> CliResult {
         );
     }
     if let Some(cache) = stats.get("cache") {
-        let n = |key: &str| cache.get(key).and_then(WireValue::as_usize).unwrap_or(0);
+        println!("cache:  {}", lru_line(cache, ""));
+    }
+    if let Some(planner) = stats.get("planner") {
+        let n = |key: &str| planner.get(key).and_then(WireValue::as_usize).unwrap_or(0);
         println!(
-            "cache:  {} entries, {}/{} bytes, {} hits / {} misses, {} evicted, {} invalidated",
-            n("entries"),
-            n("used_bytes"),
-            n("budget_bytes"),
-            n("hits"),
-            n("misses"),
-            n("evictions"),
-            n("invalidated")
+            "fragments: {}, {} extended, {} parked states",
+            lru_line(planner, "fragment_"),
+            n("fragments_extended"),
+            n("parked_states")
         );
     }
     if let Some(series) = stats.get("series").and_then(WireValue::as_arr) {

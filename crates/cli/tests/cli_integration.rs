@@ -336,6 +336,19 @@ fn serve_and_query_round_trip() {
     assert!(stats.status.success());
     assert!(stdout(&stats).contains("\"hits\""), "{}", stdout(&stats));
 
+    // The readable view shows the fragment cache next to the result cache:
+    // 32..36 is one segment, five fragments and one parked state.
+    let view = run(&["stats", "--addr", addr.as_str()]);
+    assert!(view.status.success(), "{}", stderr(&view));
+    let view = stdout(&view);
+    assert!(view.contains("cache:  1 entries,"), "{view}");
+    assert!(
+        view.lines().any(|l| l.starts_with("fragments: 5 entries,")
+            && l.contains("0 hits / 5 misses, 0 evicted, 0 invalidated, 0 extended")
+            && l.ends_with("1 parked states")),
+        "{view}"
+    );
+
     let shutdown = query(&["--cmd", "shutdown"]);
     assert!(shutdown.status.success(), "{}", stderr(&shutdown));
     let status = server.wait().expect("server exits");

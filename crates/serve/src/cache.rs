@@ -1,4 +1,4 @@
-//! The LRU result cache with byte-budget accounting.
+//! The result cache: a [`ByteLru`] of encoded query answers.
 //!
 //! Keys are `(series name, series version, canonical query key)` — the
 //! query key embeds [`valmod_core::ValmodConfig::cache_key`], so two
@@ -9,9 +9,9 @@
 //! *actively purge* a series' old entries so a hot store can't pin dead
 //! results in the budget until eviction reaches them.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::lru::{ByteLru, Weigh};
 use crate::value::Value;
 
 /// Cache key: series identity + data version + canonical query.
@@ -25,131 +25,29 @@ pub struct CacheKey {
     pub query: String,
 }
 
-#[derive(Debug)]
-struct Entry {
-    value: Arc<Value>,
-    bytes: usize,
-    last_used: u64,
+/// Every key component is charged, the fixed-width `version` included.
+impl Weigh for CacheKey {
+    fn weigh(&self) -> usize {
+        self.series.len() + std::mem::size_of_val(&self.version) + self.query.len()
+    }
 }
 
-/// Counters exposed through `STATS`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
-    /// Entries purged by series invalidation (append/replace).
-    pub invalidated: u64,
+/// An answer charges its encoded length.
+impl Weigh for Arc<Value> {
+    fn weigh(&self) -> usize {
+        self.encode().len()
+    }
 }
 
-/// An LRU cache of encoded query results, bounded by approximate bytes.
-#[derive(Debug)]
-pub struct ResultCache {
-    budget: usize,
-    used: usize,
-    tick: u64,
-    map: HashMap<CacheKey, Entry>,
-    stats: CacheStats,
-}
+/// The LRU result cache, bounded by approximate bytes (0 disables it).
+pub type ResultCache = ByteLru<CacheKey, Arc<Value>>;
 
 impl ResultCache {
-    /// A cache bounded by `budget` bytes (0 disables caching entirely).
-    pub fn new(budget: usize) -> Self {
-        ResultCache { budget, used: 0, tick: 0, map: HashMap::new(), stats: CacheStats::default() }
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Value>> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a result, evicting least-recently-used entries until the
-    /// budget holds. A result larger than the whole budget is simply not
-    /// cached (the query still succeeds — the cache only ever trades
-    /// memory for recomputation, never correctness).
-    pub fn insert(&mut self, key: CacheKey, value: Arc<Value>) {
-        let bytes = entry_bytes(&key, &value);
-        if bytes > self.budget {
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) = self.map.remove(&key) {
-            self.used -= old.bytes;
-        }
-        self.used += bytes;
-        self.map.insert(key, Entry { value, bytes, last_used: self.tick });
-        while self.used > self.budget {
-            // O(n) scan per eviction: entry counts are small (each entry is
-            // a whole query result), so a heap would be overkill.
-            let lru = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("used > budget implies non-empty");
-            let e = self.map.remove(&lru).expect("key just observed");
-            self.used -= e.bytes;
-            self.stats.evictions += 1;
-        }
-    }
-
-    /// Drops every entry for `series`, any version (append/replace path).
+    /// Drops every entry for `series`, any version (append/replace path),
+    /// counting each as invalidated.
     pub fn invalidate_series(&mut self, series: &str) {
-        let stale: Vec<CacheKey> =
-            self.map.keys().filter(|k| k.series == series).cloned().collect();
-        for key in stale {
-            let e = self.map.remove(&key).expect("key just observed");
-            self.used -= e.bytes;
-            self.stats.invalidated += 1;
-        }
+        self.retain(|key, _| key.series != series);
     }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Bytes currently accounted against the budget.
-    pub fn used_bytes(&self) -> usize {
-        self.used
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-}
-
-/// Bytes one entry charges against the budget: every key component —
-/// including the fixed-width `version` — plus the encoded result. The
-/// version's 8 bytes used to be dropped from the sum, slowly understating
-/// `used` relative to real footprint on version-heavy workloads.
-fn entry_bytes(key: &CacheKey, value: &Value) -> usize {
-    key.series.len() + std::mem::size_of_val(&key.version) + key.query.len() + value.encode().len()
 }
 
 #[cfg(test)]
@@ -162,6 +60,10 @@ mod tests {
 
     fn payload(n: usize) -> Arc<Value> {
         Arc::new(Value::Arr(vec![Value::Num(1.0); n]))
+    }
+
+    fn entry_bytes(key: &CacheKey, value: &Arc<Value>) -> usize {
+        key.weigh() + value.weigh()
     }
 
     #[test]
@@ -194,10 +96,15 @@ mod tests {
     }
 
     #[test]
-    fn oversized_results_are_skipped() {
-        let mut cache = ResultCache::new(16);
+    fn oversized_results_are_skipped_and_drop_their_predecessor() {
+        let mut cache = ResultCache::new(64);
         cache.insert(key("a", 1, "q"), payload(1000));
         assert!(cache.is_empty());
+        assert_eq!(cache.used_bytes(), 0);
+        cache.insert(key("a", 1, "q"), payload(1));
+        assert_eq!(cache.len(), 1);
+        cache.insert(key("a", 1, "q"), payload(1000));
+        assert!(cache.is_empty(), "a refused answer must not leave its predecessor behind");
         assert_eq!(cache.used_bytes(), 0);
     }
 
@@ -221,6 +128,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key("b", 1, "q1")).is_some());
         assert_eq!(cache.stats().invalidated, 2);
+        assert_eq!(cache.used_bytes(), entry_bytes(&key("b", 1, "q1"), &payload(2)));
     }
 
     #[test]
@@ -236,116 +144,8 @@ mod tests {
         let v = payload(3);
         // series (2) + version (8) + query (3) + encoded value.
         assert_eq!(entry_bytes(&k, &v), 2 + 8 + 3 + v.encode().len());
-    }
-
-    mod accounting_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// After any randomized insert / replace / invalidate sequence,
-            /// the tracked byte total equals the sum recomputed from the
-            /// live entries, and never exceeds the budget.
-            #[test]
-            fn used_bytes_equals_recomputed_sum(
-                ops in prop::collection::vec(
-                    (0usize..4, 0usize..3, 0u64..3, 0usize..3, 1usize..20),
-                    1..120,
-                ),
-                budget in 64usize..2048,
-            ) {
-                let series = ["a", "bb", "ccc"];
-                let queries = ["q", "motifs l=16", "profile l_min=8 l_max=64"];
-                let mut cache = ResultCache::new(budget);
-                for (op, s, version, q, size) in ops {
-                    let k = key(series[s], version, queries[q]);
-                    match op {
-                        // Insert and replace exercise the same path; the
-                        // randomized key means some inserts land on live
-                        // entries (replace) and some do not.
-                        0 | 1 => cache.insert(k, payload(size)),
-                        2 => { cache.get(&k); }
-                        _ => cache.invalidate_series(series[s]),
-                    }
-                    let mut recomputed = 0usize;
-                    for (k, e) in &cache.map {
-                        prop_assert_eq!(e.bytes, entry_bytes(k, &e.value));
-                        recomputed += e.bytes;
-                    }
-                    prop_assert_eq!(cache.used_bytes(), recomputed);
-                    prop_assert!(cache.used_bytes() <= budget);
-                }
-            }
-
-            /// The striped form of the invariant: a total budget split
-            /// across per-stripe caches (as the engine does), mutated
-            /// concurrently from several threads with every op routed to
-            /// its series' stripe. Whatever the interleaving, each
-            /// stripe's tracked total must equal its recomputed sum and
-            /// stay within its slice of the budget — and the slices must
-            /// sum to exactly the configured total.
-            #[test]
-            fn striped_accounting_survives_concurrent_mutation(
-                per_thread_ops in prop::collection::vec(
-                    prop::collection::vec(
-                        (0usize..4, 0usize..6, 0u64..3, 0usize..3, 1usize..24),
-                        1..60,
-                    ),
-                    2..5,
-                ),
-                total_budget in 256usize..4096,
-            ) {
-                use std::sync::{Arc, Mutex};
-
-                const STRIPES: usize = 4;
-                const SERIES: [&str; 6] = ["a", "bb", "ccc", "dddd", "e5", "f6"];
-                const QUERIES: [&str; 3] = ["q", "motifs l=16", "discords l_min=8 l_max=64"];
-                let budgets = crate::engine::split_budget(total_budget, STRIPES);
-                prop_assert_eq!(budgets.iter().sum::<usize>(), total_budget);
-                let caches: Arc<Vec<Mutex<ResultCache>>> = Arc::new(
-                    budgets.iter().map(|b| Mutex::new(ResultCache::new(*b))).collect(),
-                );
-                let threads: Vec<_> = per_thread_ops
-                    .into_iter()
-                    .map(|ops| {
-                        let caches = Arc::clone(&caches);
-                        std::thread::spawn(move || {
-                            for (op, s, version, q, size) in ops {
-                                let name = SERIES[s];
-                                let stripe = crate::store::stripe_of(name, STRIPES);
-                                let mut cache = caches[stripe].lock().unwrap();
-                                let k = key(name, version, QUERIES[q]);
-                                match op {
-                                    0 | 1 => cache.insert(k, payload(size)),
-                                    2 => { cache.get(&k); }
-                                    _ => cache.invalidate_series(name),
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                for t in threads {
-                    t.join().expect("stripe mutator thread");
-                }
-                for (i, cache) in caches.iter().enumerate() {
-                    let cache = cache.lock().unwrap();
-                    let mut recomputed = 0usize;
-                    for (k, e) in &cache.map {
-                        prop_assert_eq!(e.bytes, entry_bytes(k, &e.value));
-                        recomputed += e.bytes;
-                    }
-                    prop_assert_eq!(cache.used_bytes(), recomputed);
-                    prop_assert!(
-                        cache.used_bytes() <= budgets[i],
-                        "stripe {} over budget: {} > {}",
-                        i,
-                        cache.used_bytes(),
-                        budgets[i]
-                    );
-                }
-            }
-        }
+        let mut cache = ResultCache::new(10_000);
+        cache.insert(k, Arc::clone(&v));
+        assert_eq!(cache.used_bytes(), 2 + 8 + 3 + v.encode().len());
     }
 }

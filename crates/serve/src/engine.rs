@@ -64,6 +64,7 @@ use valmod_obs::{MetricSnapshot, Recorder, Registry, SharedRecorder, Snapshot};
 use crate::cache::{CacheKey, ResultCache};
 use crate::error::{ServeError, ServeResult};
 use crate::fragment::FragmentCache;
+use crate::lru::LruStats;
 use crate::response::{
     BodyShape, DiscordHit, DiscordsBody, MotifHit, MotifsBody, SetEntry, SetsBody,
 };
@@ -633,7 +634,7 @@ impl QueryEngine {
         let stripe = self.shared.store.stripe_index(&spec.series);
         let shard = &self.shared.shards[stripe];
         let key = CacheKey { series: spec.series.clone(), version, query: spec.query_key() };
-        if let Some(payload) = shard.cache.lock().expect("cache lock").get(&key) {
+        if let Some(payload) = shard.cache.lock().expect("cache lock").get(&key).cloned() {
             self.shared.recorder.add("serve.cache.hit", 1);
             return Ok(QueryOutcome { payload, cached: true, coalesced: false });
         }
@@ -771,69 +772,30 @@ impl QueryEngine {
             ),
             ("recovery_skipped", store.recovery_skipped().len().into()),
         ]);
-        // Aggregate the striped caches; expose per-stripe accounting so a
-        // hot stripe is visible, not averaged away.
+        // Aggregate the striped caches; expose per-stripe result-cache
+        // accounting so a hot stripe is visible, not averaged away.
         let mut per_stripe = Vec::with_capacity(self.shared.shards.len());
-        let (mut entries, mut used, mut budget) = (0usize, 0usize, 0usize);
-        let (mut hits, mut misses, mut evictions, mut invalidated) = (0u64, 0u64, 0u64, 0u64);
+        let (mut cache, mut fragments) = (LruStats::default(), LruStats::default());
+        let (mut extended, mut parked) = (0u64, 0usize);
         for (i, shard) in self.shared.shards.iter().enumerate() {
-            let cache = shard.cache.lock().expect("cache lock");
-            let cs = cache.stats();
-            entries += cache.len();
-            used += cache.used_bytes();
-            budget += cache.budget_bytes();
-            hits += cs.hits;
-            misses += cs.misses;
-            evictions += cs.evictions;
-            invalidated += cs.invalidated;
-            per_stripe.push(Value::obj(vec![
-                ("stripe", i.into()),
-                ("entries", cache.len().into()),
-                ("used_bytes", cache.used_bytes().into()),
-                ("budget_bytes", cache.budget_bytes().into()),
-                ("hits", cs.hits.into()),
-                ("misses", cs.misses.into()),
-            ]));
+            let cs = shard.cache.lock().expect("cache lock").stats();
+            let mut stripe = vec![("stripe".to_string(), i.into())];
+            stripe.extend(lru_fields("", &cs).into_iter().take(5)); // entries..misses
+            per_stripe.push(Value::Obj(stripe));
+            cache += cs;
+            let fragment_cache = shard.fragments.lock().expect("fragment cache lock");
+            fragments += fragment_cache.stats();
+            extended += fragment_cache.extended();
+            parked += fragment_cache.state_count();
         }
-        let cache_v = Value::obj(vec![
-            ("entries", entries.into()),
-            ("used_bytes", used.into()),
-            ("budget_bytes", budget.into()),
-            ("hits", hits.into()),
-            ("misses", misses.into()),
-            ("evictions", evictions.into()),
-            ("invalidated", invalidated.into()),
-            ("per_stripe", Value::Arr(per_stripe)),
-        ]);
-        let (mut f_entries, mut f_used, mut f_budget, mut parked) =
-            (0usize, 0usize, 0usize, 0usize);
-        let (mut f_hits, mut f_misses, mut f_evictions, mut f_invalidated, mut f_extended) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        for shard in self.shared.shards.iter() {
-            let fragments = shard.fragments.lock().expect("fragment cache lock");
-            let fs = fragments.stats();
-            f_entries += fragments.len();
-            f_used += fragments.used_bytes();
-            f_budget += fragments.budget_bytes();
-            parked += fragments.state_count();
-            f_hits += fs.hits;
-            f_misses += fs.misses;
-            f_evictions += fs.evictions;
-            f_invalidated += fs.invalidated;
-            f_extended += fs.extended;
-        }
+        let mut cache_v = lru_fields("", &cache);
+        cache_v.push(("per_stripe".into(), Value::Arr(per_stripe)));
         let c = &self.shared.counters;
-        let planner_v = Value::obj(vec![
-            ("fragment_entries", f_entries.into()),
-            ("fragment_used_bytes", f_used.into()),
-            ("fragment_budget_bytes", f_budget.into()),
-            ("fragment_hits", f_hits.into()),
-            ("fragment_misses", f_misses.into()),
-            ("fragment_evictions", f_evictions.into()),
-            ("fragment_invalidated", f_invalidated.into()),
-            ("fragments_extended", f_extended.into()),
-            ("parked_states", parked.into()),
-            ("inflight", c.inflight_flights.load(Ordering::Relaxed).into()),
+        let mut planner_v = lru_fields("fragment_", &fragments);
+        planner_v.extend([
+            ("fragments_extended".into(), extended.into()),
+            ("parked_states".into(), parked.into()),
+            ("inflight".into(), c.inflight_flights.load(Ordering::Relaxed).into()),
         ]);
         Value::obj(vec![
             (
@@ -853,8 +815,8 @@ impl QueryEngine {
                     ("kernel_threads", self.shared.cfg.kernel_threads.into()),
                 ]),
             ),
-            ("cache", cache_v),
-            ("planner", planner_v),
+            ("cache", Value::Obj(cache_v)),
+            ("planner", Value::Obj(planner_v)),
             ("persist", persist_v),
             ("series", Value::Arr(series)),
             ("obs", snapshot_value(&self.shared.registry.snapshot())),
@@ -960,7 +922,7 @@ fn execute_query(shared: &Shared, spec: &QuerySpec) -> ServeResult<QueryOutcome>
     // worker may also have filled the entry meanwhile. Re-probe.
     let shard = shared.shard_for(&spec.series);
     let key = CacheKey { series: spec.series.clone(), version, query: spec.query_key() };
-    if let Some(payload) = shard.cache.lock().expect("cache lock").get(&key) {
+    if let Some(payload) = shard.cache.lock().expect("cache lock").get(&key).cloned() {
         shared.recorder.add("serve.cache.hit", 1);
         return Ok(QueryOutcome { payload, cached: true, coalesced: false });
     }
@@ -1080,6 +1042,23 @@ fn compute_payload(
             .to_value())
         }
     }
+}
+
+/// The `STATS` fields of one LRU's accounting, each key behind `prefix`
+/// (`cache` uses none, `planner` uses `fragment_`).
+fn lru_fields(prefix: &str, s: &LruStats) -> Vec<(String, Value)> {
+    [
+        ("entries", s.entries.into()),
+        ("used_bytes", s.used_bytes.into()),
+        ("budget_bytes", s.budget_bytes.into()),
+        ("hits", s.hits.into()),
+        ("misses", s.misses.into()),
+        ("evictions", s.evictions.into()),
+        ("invalidated", s.invalidated.into()),
+    ]
+    .into_iter()
+    .map(|(key, v): (&str, Value)| (format!("{prefix}{key}"), v))
+    .collect()
 }
 
 /// Renders a registry snapshot as a wire value: counters and gauges map to
@@ -1514,6 +1493,41 @@ mod tests {
         let stats = eng.stats();
         assert_eq!(planner(&stats, "fragment_entries"), 0);
         assert_eq!(planner(&stats, "parked_states"), 0);
+        eng.shutdown();
+        eng.join();
+    }
+
+    #[test]
+    fn a_segment_over_the_budget_is_served_uncached_and_evicts_nothing() {
+        // One stripe, so the whole fragment budget is one slice. 63..95
+        // plans as 63..93 (31 lengths, 161 KB of fragments) and 94..95
+        // (10 KB). The 152 KB budget fits the second segment, both parked
+        // states (~49 KB each) and series o's 37 KB, but not the first
+        // segment.
+        let eng = QueryEngine::new(
+            EngineConfig::builder()
+                .workers(1)
+                .stripes(1)
+                .cache_bytes(0)
+                .fragment_cache_bytes(152_000)
+                .build()
+                .unwrap(),
+        );
+        eng.load("o", random_walk(200, 3), &[], ExclusionPolicy::HALF, false).unwrap();
+        eng.load("s", random_walk(400, 4), &[], ExclusionPolicy::HALF, false).unwrap();
+        let spec =
+            |series: &str, l_min, l_max| QuerySpec { p: 2, ..motif_spec(series, l_min, l_max) };
+        let planner =
+            |key: &str| eng.stats().get("planner").unwrap().get(key).unwrap().as_usize().unwrap();
+        eng.query(spec("o", 16, 18)).unwrap();
+        let first = eng.query(spec("s", 63, 95)).unwrap();
+        let second = eng.query(spec("s", 63, 95)).unwrap();
+        assert_eq!(first.payload.get("body"), second.payload.get("body"));
+        assert_eq!(planner("fragment_hits"), 2, "the fitting segment 94..95 hits");
+        assert_eq!(planner("fragment_evictions"), 0, "the oversized segment evicts nothing");
+        assert_eq!(planner("fragment_entries"), 3 + 2, "o's three fragments and 94..95");
+        eng.query(spec("o", 16, 18)).unwrap();
+        assert_eq!(planner("fragment_hits"), 2 + 3, "o's fragments survive");
         eng.shutdown();
         eng.join();
     }

@@ -16,12 +16,12 @@
 //!   checksummed snapshots (temp-file + atomic rename) plus an
 //!   append-only WAL that is fsynced *before* each batch applies, with
 //!   crash recovery that truncates torn tails instead of erroring;
-//! * [`cache::ResultCache`] — LRU result cache with byte-budget
-//!   accounting, keyed by `(name, version, canonical query)` so stale
-//!   hits are structurally impossible;
+//! * [`cache::ResultCache`] — the result cache, a [`lru::ByteLru`] (the
+//!   one byte-budgeted LRU under both caches) keyed by `(name, version,
+//!   canonical query)` so stale hits are structurally impossible;
 //! * [`planner`] + [`fragment::FragmentCache`] — the query planner:
 //!   variable-length requests decompose into grid-aligned segments whose
-//!   per-length profile fragments are cached and recomposed, so
+//!   per-length profile fragments are cached whole and recomposed, so
 //!   overlapping length ranges share work bit-identically;
 //! * [`engine::QueryEngine`] — a worker pool behind a bounded queue with
 //!   per-request deadlines and single-flight coalescing of identical
@@ -66,6 +66,7 @@ pub mod client;
 pub mod engine;
 pub mod error;
 pub mod fragment;
+pub mod lru;
 pub mod persist;
 pub mod planner;
 pub mod protocol;
@@ -74,14 +75,15 @@ pub mod server;
 pub mod store;
 pub mod value;
 
-pub use cache::{CacheKey, CacheStats, ResultCache};
+pub use cache::{CacheKey, ResultCache};
 pub use client::{Client, Timeouts};
 pub use engine::{
     split_budget, EngineConfig, EngineConfigBuilder, QueryEngine, QueryKind, QueryOutcome,
     QuerySpec,
 };
 pub use error::{ServeError, ServeResult};
-pub use fragment::{FragmentCache, FragmentCacheStats, FragmentKey};
+pub use fragment::{FragmentCache, FragmentKey};
+pub use lru::{ByteLru, LruStats, Weigh};
 pub use persist::{
     Fault, FaultHook, IoStep, Persistence, RecoveredSeries, Recovery, SnapshotMeta,
     DEFAULT_WAL_COMPACT_BYTES,

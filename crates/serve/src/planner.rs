@@ -51,7 +51,7 @@ use valmod_mp::ProfiledSeries;
 use valmod_obs::{Recorder, SharedRecorder};
 
 use crate::error::ServeResult;
-use crate::fragment::{FragmentCache, FragmentKey};
+use crate::fragment::FragmentCache;
 
 /// One planned segment: a full profile at `anchor` advanced to `hi`
 /// (inclusive). The first segment of a plan anchors at the query's ℓ_min;
@@ -108,9 +108,9 @@ pub struct PlanStats {
 
 /// Executes a plan for the inclusive `lengths = (l_min, l_max)` range:
 /// fetches each segment from the fragment cache or computes it via `runner`
-/// (caching the result), then composes the fragments into a
-/// [`ValmodOutput`]. `runner` supplies the per-length knobs (`p`, policy,
-/// threads) and the recorder.
+/// (caching it whole when it fits the budget), then composes the fragments
+/// into a [`ValmodOutput`]. `runner` supplies the per-length knobs (`p`,
+/// policy, threads) and the recorder.
 pub fn execute_plan(
     ps: &ProfiledSeries,
     series: &str,
@@ -154,23 +154,18 @@ pub fn execute_plan(
                 plan_fragments.extend(frags);
             }
             None => {
-                let computed =
-                    revive_or_compute(ps, series, seg, runner, fragments, recorder, &knobs)?;
+                let computed: Vec<_> =
+                    revive_or_compute(ps, series, seg, runner, fragments, recorder, &knobs)?
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect();
                 stats.fragments_computed += computed.len();
                 recorder.add("serve.fragment.miss", computed.len() as u64);
-                let mut cache = fragments.lock().expect("fragment cache lock");
-                for lp in computed {
-                    let key = FragmentKey {
-                        series: series.into(),
-                        version,
-                        anchor: seg.anchor,
-                        l: lp.l,
-                        knobs: knobs.clone(),
-                    };
-                    let lp = Arc::new(lp);
-                    cache.insert(key, Arc::clone(&lp));
-                    plan_fragments.push(lp);
-                }
+                fragments
+                    .lock()
+                    .expect("fragment cache lock")
+                    .insert_segment(series, version, seg.anchor, &knobs, &computed);
+                plan_fragments.extend(computed);
             }
         }
     }
@@ -328,7 +323,7 @@ mod tests {
             execute_plan(&grown, "s", 2, &runner, &fragments, &recorder, (16, 40)).unwrap();
         assert_eq!(s2.segments_reused, 0, "version bump misses every fragment");
         let cache = fragments.lock().unwrap();
-        assert_eq!(cache.stats().extended, s2.segments as u64, "each segment extended in place");
+        assert_eq!(cache.extended(), s2.segments as u64, "each segment extended in place");
         assert!(cache.stats().invalidated > 0, "stale fragments were lazily collected");
         drop(cache);
 
