@@ -1,21 +1,34 @@
-//! The serve fault injector: hostile and unlucky clients replayed against a
-//! real loopback [`valmod_serve::Server`].
+//! The fault injector: hostile and unlucky clients replayed against real
+//! loopback line servers — a [`valmod_serve::Server`] and a cluster
+//! [`valmod_cluster::Worker`], which run on the same
+//! [`valmod_serve::LineServer`].
 //!
 //! Each scenario asserts three things: the server never panics (it keeps
 //! answering a well-formed `ping` afterwards), no connection handler leaks
 //! (the live-connection count drains back to the baseline), and the series
 //! store's version counter is never corrupted by a half-delivered mutation.
+//! The framing scenarios run against both servers; the `slow-reader`
+//! scenario shows that a peer which stops reading cannot pin a handler or
+//! keep the server from stopping.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use valmod_cluster::{Worker, WorkerConfig};
 use valmod_serve::engine::{EngineConfig, QueryEngine};
-use valmod_serve::{Client, ServeError, Server};
+use valmod_serve::{
+    Client, ConnectionCount, ServeError, ServeResult, Server, SharedRecorder, SEND_STALL_LIMIT,
+};
 
 /// The line cap used by the harness server — small, so the oversized-line
 /// scenario is cheap to trigger.
 const FAULT_LINE_CAP: usize = 4096;
+
+/// How long handlers may take to unwind, and `run` to return after
+/// `shutdown`, before the harness calls it a leak or a hang.
+const SETTLE: Duration = Duration::from_secs(5);
 
 /// Outcome of the full fault matrix.
 #[derive(Debug, Default)]
@@ -40,10 +53,70 @@ impl FaultReport {
     }
 }
 
+/// A line server running on its own thread.
+struct Running {
+    addr: SocketAddr,
+    connections: ConnectionCount,
+    done: mpsc::Receiver<ServeResult<()>>,
+}
+
+impl Running {
+    fn serve(engine: QueryEngine) -> Result<Running, String> {
+        let server = Server::bind("127.0.0.1:0", engine).map_err(|e| format!("bind: {e}"))?;
+        let addr = server.local_addr().map_err(|e| format!("bind: {e}"))?;
+        Ok(Running::spawn(addr, server.connection_count(), move || server.run()))
+    }
+
+    fn worker() -> Result<Running, String> {
+        let worker = Worker::bind("127.0.0.1:0", WorkerConfig::default(), SharedRecorder::noop())
+            .map_err(|e| format!("bind: {e}"))?;
+        let addr = worker.local_addr().map_err(|e| format!("bind: {e}"))?;
+        Ok(Running::spawn(addr, worker.connection_count(), move || worker.run()))
+    }
+
+    fn spawn(
+        addr: SocketAddr,
+        connections: ConnectionCount,
+        run: impl FnOnce() -> ServeResult<()> + Send + 'static,
+    ) -> Running {
+        let (tx, done) = mpsc::channel();
+        std::thread::spawn(move || tx.send(run()));
+        Running { addr, connections, done }
+    }
+
+    /// Waits up to `within` for every handler past `baseline` to unwind.
+    fn drained(&self, baseline: usize, within: Duration) -> Result<(), String> {
+        let deadline = Instant::now() + within;
+        while self.connections.live() > baseline {
+            if Instant::now() > deadline {
+                let leaked = self.connections.live() - baseline;
+                return Err(format!("{leaked} connection handler(s) leaked"));
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        Ok(())
+    }
+
+    /// Sends `shutdown`; `run` must then return cleanly within [`SETTLE`].
+    fn shutdown(self) -> Result<(), String> {
+        Client::connect(self.addr)
+            .and_then(|mut c| c.shutdown())
+            .map_err(|e| format!("shutdown: {e}"))?;
+        match self.done.recv_timeout(SETTLE) {
+            Ok(Ok(())) => Ok(()),
+            Ok(Err(e)) => Err(format!("server run() errored: {e}")),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                Err(format!("run() had not returned {SETTLE:?} after shutdown"))
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err("server thread panicked".into()),
+        }
+    }
+}
+
 /// Sends raw bytes on a fresh connection, optionally reading one response
 /// line back (with a timeout so a silent close cannot hang the harness).
 fn raw_exchange(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     payload: &[u8],
     read_reply: bool,
 ) -> Result<Option<String>, String> {
@@ -73,7 +146,7 @@ fn raw_exchange(
 }
 
 /// Asserts the server still answers a well-formed ping.
-fn expect_alive(addr: std::net::SocketAddr) -> Result<(), String> {
+fn expect_alive(addr: SocketAddr) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
     client.ping().map_err(|e| format!("ping after fault: {e}"))
 }
@@ -88,29 +161,55 @@ fn expect_error_reply(reply: Option<String>, kind: &str) -> Result<(), String> {
     }
 }
 
-/// Runs every fault scenario against one loopback server and reports.
+/// Runs every fault scenario and reports.
 pub fn run_fault_matrix() -> FaultReport {
     let mut report = FaultReport::default();
+    serve_matrix(&mut report);
+    worker_matrix(&mut report);
+    report.record("slow-reader", slow_reader());
+    report
+}
 
-    let engine =
-        QueryEngine::new(EngineConfig::builder().workers(1).build().expect("static engine config"));
-    let server = match Server::bind("127.0.0.1:0", engine) {
-        Ok(s) => s.with_max_line_bytes(FAULT_LINE_CAP),
-        Err(e) => {
-            report.record("bind", Err(format!("{e}")));
-            return report;
-        }
-    };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            report.record("bind", Err(format!("{e}")));
-            return report;
-        }
-    };
-    let connections = server.connection_count();
-    let server_thread = std::thread::spawn(move || server.run());
+/// The framing guarantees every line server gives: a truncated frame, a
+/// malformed JSON line and an invalid UTF-8 line cost nothing but their
+/// own connection (or, for malformed JSON, one error reply).
+fn framing_scenarios(report: &mut FaultReport, prefix: &str, addr: SocketAddr) {
+    // Truncated frame: half a request, then disconnect. No reply is owed;
+    // the server must simply survive.
+    report.record(
+        &format!("{prefix}truncated-frame"),
+        raw_exchange(addr, br#"{"cmd":"motifs","na"#, false).and_then(|_| expect_alive(addr)),
+    );
 
+    // Malformed JSON gets an error reply and the connection stays open.
+    report.record(
+        &format!("{prefix}malformed-json"),
+        raw_exchange(addr, b"{nope\n", true)
+            .and_then(|reply| expect_error_reply(reply, "protocol"))
+            .and_then(|()| expect_alive(addr)),
+    );
+
+    // Invalid UTF-8 is a protocol error, not a panic.
+    report.record(
+        &format!("{prefix}invalid-utf8"),
+        raw_exchange(addr, b"\xff\xfe\xfd\n", true)
+            .and_then(|reply| expect_error_reply(reply, "protocol"))
+            .and_then(|()| expect_alive(addr)),
+    );
+}
+
+/// The serve scenarios, against one loopback [`Server`].
+fn serve_matrix(report: &mut FaultReport) {
+    let config = EngineConfig::builder()
+        .workers(1)
+        .max_line_bytes(FAULT_LINE_CAP)
+        .build()
+        .expect("static engine config");
+    let server = match Running::serve(QueryEngine::new(config)) {
+        Ok(s) => s,
+        Err(why) => return report.record("bind", Err(why)),
+    };
+    let addr = server.addr;
     // A resident series the mutation scenarios aim at.
     let seeded: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
     let setup = Client::connect(addr)
@@ -118,20 +217,12 @@ pub fn run_fault_matrix() -> FaultReport {
         .and_then(|mut c| c.load("s", seeded, vec![], false).map_err(|e| format!("load: {e}")));
     let baseline_version = match setup {
         Ok(ack) => ack.version,
-        Err(why) => {
-            report.record("setup", Err(why));
-            return report;
-        }
+        Err(why) => return report.record("setup", Err(why)),
     };
 
-    // 1. Truncated frame: half a request, then disconnect. No reply is
-    // owed; the server must simply survive.
-    report.record(
-        "truncated-frame",
-        raw_exchange(addr, br#"{"cmd":"motifs","na"#, false).and_then(|_| expect_alive(addr)),
-    );
+    framing_scenarios(report, "", addr);
 
-    // 2. Oversized line: a newline-free flood past the cap must be answered
+    // Oversized line: a newline-free flood past the cap must be answered
     // with a protocol error, not buffered without bound. (Kept just over
     // the cap so the server consumes the whole flood before replying — a
     // close with unread bytes would RST the reply away.)
@@ -143,23 +234,7 @@ pub fn run_fault_matrix() -> FaultReport {
             .and_then(|()| expect_alive(addr)),
     );
 
-    // 3. Malformed JSON gets an error reply and the connection stays open.
-    report.record(
-        "malformed-json",
-        raw_exchange(addr, b"{nope\n", true)
-            .and_then(|reply| expect_error_reply(reply, "protocol"))
-            .and_then(|()| expect_alive(addr)),
-    );
-
-    // 4. Invalid UTF-8 is a protocol error, not a panic.
-    report.record(
-        "invalid-utf8",
-        raw_exchange(addr, b"\xff\xfe\xfd\n", true)
-            .and_then(|reply| expect_error_reply(reply, "protocol"))
-            .and_then(|()| expect_alive(addr)),
-    );
-
-    // 5. Mid-APPEND disconnect: the half-delivered mutation must not tick
+    // Mid-APPEND disconnect: the half-delivered mutation must not tick
     // the version counter or partially mutate the store.
     report.record(
         "mid-append-disconnect",
@@ -184,7 +259,7 @@ pub fn run_fault_matrix() -> FaultReport {
             }),
     );
 
-    // 6. Hostile numeric fields: a beyond-2^53 sleep must be rejected, not
+    // Hostile numeric fields: a beyond-2^53 sleep must be rejected, not
     // cast-truncated into a bounded-looking sleep.
     report.record(
         "hostile-sleep-ms",
@@ -193,7 +268,7 @@ pub fn run_fault_matrix() -> FaultReport {
             .and_then(|()| expect_alive(addr)),
     );
 
-    // 7. Deadline expiry: a sleep whose deadline lapses while it holds the
+    // Deadline expiry: a sleep whose deadline lapses while it holds the
     // only worker must come back as a deadline error, and the worker must
     // be reusable afterwards.
     report.record(
@@ -211,7 +286,7 @@ pub fn run_fault_matrix() -> FaultReport {
             .and_then(|()| expect_alive(addr)),
     );
 
-    // 8. Non-finite ingestion: APPEND with a NaN is rejected whole — the
+    // Non-finite ingestion: APPEND with a NaN is rejected whole — the
     // version counter must not move.
     report.record(
         "non-finite-append",
@@ -242,32 +317,63 @@ pub fn run_fault_matrix() -> FaultReport {
             }),
     );
 
-    // Drain check: every fault connection's handler must unwind.
-    let drain = || -> Result<(), String> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if connections.live() == 0 {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(format!("{} connection handler(s) leaked", connections.live()));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    };
-    report.record("connection-drain", drain());
-
+    report.record("connection-drain", server.drained(0, SETTLE));
     // Graceful shutdown still works after the whole matrix.
-    let shutdown = Client::connect(addr)
-        .map_err(|e| format!("connect: {e}"))
-        .and_then(|mut c| c.shutdown().map_err(|e| format!("shutdown: {e}")))
-        .and_then(|()| match server_thread.join() {
-            Ok(Ok(())) => Ok(()),
-            Ok(Err(e)) => Err(format!("server run() errored: {e}")),
-            Err(_) => Err("server thread panicked".into()),
-        });
-    report.record("graceful-shutdown", shutdown);
-    report
+    report.record("graceful-shutdown", server.shutdown());
+}
+
+/// The framing scenarios and the leak check against a cluster worker.
+fn worker_matrix(report: &mut FaultReport) {
+    let worker = match Running::worker() {
+        Ok(w) => w,
+        Err(why) => return report.record("worker/bind", Err(why)),
+    };
+    framing_scenarios(report, "worker/", worker.addr);
+    report.record("worker/connection-drain", worker.drained(0, SETTLE));
+    report.record("worker/graceful-shutdown", worker.shutdown());
+}
+
+/// A peer that pipelines `stats` without reading a reply until the
+/// server's writes block. Within the send-stall limit plus a margin, its
+/// handler must be gone, the server must still answer `ping`, and `run`
+/// must return after `shutdown` — all while the peer keeps its socket open.
+fn slow_reader() -> Result<(), String> {
+    let engine =
+        QueryEngine::new(EngineConfig::builder().workers(1).build().expect("static engine config"));
+    let server = Running::serve(engine)?;
+    let baseline = server.connections.live();
+    let stalled = stall_server_writes(server.addr);
+    // A blocked write fails after at most two stall windows: the stall can
+    // begin part-way through one write call.
+    let checks = stalled
+        .as_ref()
+        .map_err(String::clone)
+        .and_then(|_| server.drained(baseline, 2 * SEND_STALL_LIMIT + SETTLE))
+        .and_then(|()| expect_alive(server.addr));
+    let stopped = server.shutdown();
+    drop(stalled);
+    checks.and(stopped)
+}
+
+/// Writes pipelined `stats` requests until a write makes no progress for a
+/// second: the server has stopped reading because its own reply writes
+/// block. Returns the still-open, never-read stream.
+fn stall_server_writes(addr: SocketAddr) -> Result<TcpStream, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .map_err(|e| format!("set timeout: {e}"))?;
+    let batch = "{\"cmd\":\"stats\"}\n".repeat(1024);
+    for _ in 0..(256 << 20) / batch.len() {
+        match stream.write_all(batch.as_bytes()) {
+            Ok(()) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Ok(stream);
+            }
+            Err(e) => return Err(format!("pipelined write: {e}")),
+        }
+    }
+    Err("the server read 256 MiB of requests without its writes blocking".into())
 }
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 //!   cold, and the Eq. 2 lower-bound admissibility invariant probed against
 //!   naive z-normalised distances;
 //! * [`faults`] — truncated frames, oversized lines, malformed JSON,
-//!   mid-`APPEND` disconnects, hostile numeric fields, and deadline expiry
-//!   replayed against a real loopback server;
+//!   mid-`APPEND` disconnects, hostile numeric fields, deadline expiry and
+//!   a peer that stops reading, replayed against a real loopback server
+//!   (the framing cases against a cluster worker too);
 //! * [`cluster`] — the distributed-discovery matrix: coordinator/worker
 //!   runs over real loopback TCP diffed bit-for-bit against the local
 //!   executor, across partition shapes and under SIGKILLed, hung, and

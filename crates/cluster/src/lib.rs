@@ -21,7 +21,9 @@
 //!   JSON framing as `valmod-serve` plus `load_job`/`work`/`drop_job`,
 //!   with the shared versioned `hello` handshake;
 //! * [`worker`] — the TCP worker ([`worker::Worker`],
-//!   [`worker::LocalWorker`] for in-process pools) with injectable fault
+//!   [`worker::LocalWorker`] for in-process pools), a service on the serve
+//!   layer's one `LineServer` (accept loop, bounded framing, send-stall
+//!   limit, shutdown that half-closes idle peers), with injectable fault
 //!   modes for the check oracle;
 //! * [`coordinator`] — pool validation, dispatch with per-shard
 //!   deadlines, retry-with-backoff, redispatch from dead workers;

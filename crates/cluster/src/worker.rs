@@ -1,6 +1,8 @@
-//! The cluster worker: a small line-protocol TCP server that caches one
-//! profiled series per job and answers `work` requests with diagonal-range
-//! partial profiles.
+//! The cluster worker: a [`LineService`] on the serve layer's one
+//! [`LineServer`] — same framing, send-stall limit and shutdown as `valmod
+//! serve`, so an idle coordinator connection cannot keep it running — that
+//! caches one profiled series per job and answers `work` requests with
+//! diagonal-range partial profiles.
 //!
 //! A worker is deliberately stateless beyond its job cache — if it crashes
 //! and restarts, the coordinator's `unknown_series` handling re-ships the
@@ -10,9 +12,8 @@
 //! check oracle and the integration tests.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -20,7 +21,8 @@ use valmod_mp::{stomp_diagonal_range_ws, ExclusionPolicy, ProfiledSeries, Worksp
 use valmod_obs::{Recorder, SharedRecorder};
 use valmod_serve::protocol::{hello_result, response_err, response_ok};
 use valmod_serve::{
-    read_bounded_line, LineRead, ServeError, ServeResult, Value, DEFAULT_MAX_LINE_BYTES,
+    Client, ConnectionCount, LineServer, LineService, Reply, ServeError, ServeResult, Timeouts,
+    Value, DEFAULT_MAX_LINE_BYTES,
 };
 
 use crate::wire::{encode_partial, ClusterRequest, WORKER_CAPABILITIES};
@@ -45,25 +47,13 @@ pub enum Fault {
 }
 
 /// Worker construction options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkerConfig {
-    /// Per-request line cap (shared default with `valmod-serve`).
-    pub max_line_bytes: usize,
     /// Optional injected failure mode.
     pub fault: Option<Fault>,
     /// Protocol version to advertise in `hello` (tests use a wrong one to
     /// exercise coordinator-side rejection). `None` = this build's version.
     pub advertise_version: Option<u64>,
-}
-
-impl Default for WorkerConfig {
-    fn default() -> Self {
-        WorkerConfig {
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            fault: None,
-            advertise_version: None,
-        }
-    }
 }
 
 /// Shared worker state: the per-job series cache and fault accounting.
@@ -80,210 +70,125 @@ struct Job {
 }
 
 /// A bound-but-not-yet-running cluster worker.
-pub struct Worker {
-    listener: TcpListener,
-    state: Arc<WorkerState>,
-    stop: Arc<AtomicBool>,
-}
+pub struct Worker(LineServer<WorkerState>);
 
 impl Worker {
-    /// Binds to `addr` (port 0 for ephemeral).
+    /// Binds to `addr` (port 0 for ephemeral). Request lines are capped at
+    /// [`DEFAULT_MAX_LINE_BYTES`].
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: WorkerConfig,
         recorder: SharedRecorder,
     ) -> ServeResult<Worker> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Worker {
-            listener,
-            state: Arc::new(WorkerState {
-                jobs: Mutex::new(HashMap::new()),
-                config,
-                recorder,
-                work_done: AtomicUsize::new(0),
-            }),
-            stop: Arc::new(AtomicBool::new(false)),
-        })
+        let state = WorkerState {
+            jobs: Mutex::new(HashMap::new()),
+            config,
+            recorder,
+            work_done: AtomicUsize::new(0),
+        };
+        let server = LineServer::bind(addr, state, DEFAULT_MAX_LINE_BYTES, SharedRecorder::noop())?;
+        Ok(Worker(server))
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> ServeResult<SocketAddr> {
-        Ok(self.listener.local_addr()?)
+        self.0.local_addr()
+    }
+
+    /// A handle that reports the number of live connections after `run`
+    /// consumes the worker.
+    pub fn connection_count(&self) -> ConnectionCount {
+        self.0.connection_count()
     }
 
     /// Serves until a `shutdown` command arrives.
     pub fn run(self) -> ServeResult<()> {
-        let addr = self.local_addr()?;
-        let mut handlers = Vec::new();
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    return Err(ServeError::Io(e));
-                }
-            };
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let state = Arc::clone(&self.state);
-            let stop = Arc::clone(&self.stop);
-            handlers.push(std::thread::spawn(move || {
-                handle_connection(stream, state, &stop, addr);
-            }));
-            handlers.retain(|h| !h.is_finished());
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        Ok(())
+        self.0.run()
     }
 }
 
-fn handle_connection(
-    stream: TcpStream,
-    state: Arc<WorkerState>,
-    stop: &AtomicBool,
-    worker_addr: SocketAddr,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    // One workspace per connection: FFT plans and buffers are reused across
-    // every shard this coordinator connection dispatches.
-    let mut ws = Workspace::new();
-    loop {
-        let line = match read_bounded_line(&mut reader, state.config.max_line_bytes) {
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Eof) | Err(_) => return,
-            Ok(LineRead::TooLong) => {
-                let err = ServeError::Protocol("request line exceeds the line limit".into());
-                let _ = write_line(&mut writer, response_err(&err));
-                return;
-            }
-            Ok(LineRead::NotUtf8) => {
-                let err = ServeError::Protocol("request line is not valid UTF-8".into());
-                let _ = write_line(&mut writer, response_err(&err));
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Value::parse(&line).and_then(|v| ClusterRequest::from_value(&v)) {
+/// One workspace per connection: FFT plans and buffers are reused across
+/// every shard this coordinator connection dispatches.
+impl LineService for WorkerState {
+    type Conn = Workspace;
+
+    fn serve(&self, ws: &mut Workspace, request: &Value) -> Reply {
+        let request = match ClusterRequest::from_value(request) {
             Ok(req) => req,
-            Err(e) => {
-                if !write_line(&mut writer, response_err(&e)) {
-                    return;
-                }
-                continue;
-            }
+            Err(e) => return Reply::Send(response_err(&e)),
         };
-        if state.recorder.enabled() {
-            state.recorder.add(&format!("cluster.worker.cmd.{}", request.cmd_name()), 1);
+        if self.recorder.enabled() {
+            self.recorder.add(&format!("cluster.worker.cmd.{}", request.cmd_name()), 1);
         }
-        let shutdown = matches!(request, ClusterRequest::Shutdown);
-        match execute(&state, request, &mut ws) {
-            Outcome::Reply(response) => {
-                if !write_line(&mut writer, response) {
-                    return;
-                }
-            }
-            Outcome::Drop => {
-                // Injected fault: vanish without a reply, like a kill -9.
-                if let Ok(s) = writer.try_clone() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-                return;
-            }
-        }
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(worker_addr);
-            return;
-        }
-    }
-}
-
-enum Outcome {
-    Reply(Value),
-    Drop,
-}
-
-fn execute(state: &WorkerState, request: ClusterRequest, ws: &mut Workspace) -> Outcome {
-    match request {
-        ClusterRequest::Hello { .. } => {
-            let version = state.config.advertise_version.unwrap_or(valmod_serve::PROTOCOL_VERSION);
-            // Same payload shape as `hello_result`, with an overridable
-            // version for the incompatibility tests.
-            let mut v = hello_result(WORKER_CAPABILITIES);
-            if let Value::Obj(fields) = &mut v {
-                for (k, val) in fields.iter_mut() {
-                    if k == "version" {
-                        *val = version.into();
+        let reply = match request {
+            ClusterRequest::Hello { .. } => {
+                let version =
+                    self.config.advertise_version.unwrap_or(valmod_serve::PROTOCOL_VERSION);
+                // Same payload shape as `hello_result`, with an overridable
+                // version for the incompatibility tests.
+                let mut v = hello_result(WORKER_CAPABILITIES);
+                if let Value::Obj(fields) = &mut v {
+                    for (k, val) in fields.iter_mut() {
+                        if k == "version" {
+                            *val = version.into();
+                        }
                     }
                 }
+                response_ok(v, None)
             }
-            Outcome::Reply(response_ok(v, None))
-        }
-        ClusterRequest::Ping => Outcome::Reply(response_ok(Value::str("pong"), None)),
-        ClusterRequest::LoadJob { job, values, policy } => {
-            let ps = match ProfiledSeries::from_values(&values) {
-                Ok(ps) => ps,
-                Err(e) => return Outcome::Reply(response_err(&e)),
-            };
-            let len = values.len();
-            state.jobs.lock().expect("jobs lock").insert(job.clone(), Arc::new(Job { ps, policy }));
-            Outcome::Reply(response_ok(
-                Value::obj(vec![("job", Value::str(&job)), ("len", len.into())]),
-                None,
-            ))
-        }
-        ClusterRequest::Work { job, shard } => {
-            let entry = state.jobs.lock().expect("jobs lock").get(&job).cloned();
-            let Some(entry) = entry else {
-                // Stable kind the coordinator reacts to by re-sending the job.
-                return Outcome::Reply(response_err(&ServeError::UnknownSeries(job)));
-            };
-            let partial = match stomp_diagonal_range_ws(
-                &entry.ps,
-                shard.l,
-                entry.policy,
-                (shard.k_start, shard.k_end),
-                ws,
-            ) {
-                Ok(p) => p,
-                Err(e) => return Outcome::Reply(response_err(&e)),
-            };
-            let done = state.work_done.fetch_add(1, Ordering::SeqCst) + 1;
-            match state.config.fault {
-                Some(Fault::CloseAfter { after }) if done > after => return Outcome::Drop,
-                Some(Fault::HangAfter { after, stall }) if done > after => {
-                    std::thread::sleep(stall);
+            ClusterRequest::Ping => response_ok(Value::str("pong"), None),
+            ClusterRequest::LoadJob { job, values, policy } => {
+                match ProfiledSeries::from_values(&values) {
+                    Ok(ps) => {
+                        self.jobs
+                            .lock()
+                            .expect("jobs lock")
+                            .insert(job.clone(), Arc::new(Job { ps, policy }));
+                        let ack = vec![("job", Value::str(&job)), ("len", values.len().into())];
+                        response_ok(Value::obj(ack), None)
+                    }
+                    Err(e) => response_err(&e),
                 }
-                _ => {}
             }
-            if state.recorder.enabled() {
-                state.recorder.add("cluster.worker.shards_computed", 1);
+            ClusterRequest::Work { job, shard } => {
+                let entry = self.jobs.lock().expect("jobs lock").get(&job).cloned();
+                let Some(entry) = entry else {
+                    // Stable kind the coordinator reacts to by re-sending the job.
+                    return Reply::Send(response_err(&ServeError::UnknownSeries(job)));
+                };
+                let range = (shard.k_start, shard.k_end);
+                match stomp_diagonal_range_ws(&entry.ps, shard.l, entry.policy, range, ws) {
+                    Ok(partial) => {
+                        let done = self.work_done.fetch_add(1, Ordering::SeqCst) + 1;
+                        match self.config.fault {
+                            Some(Fault::CloseAfter { after }) if done > after => {
+                                return Reply::Close
+                            }
+                            Some(Fault::HangAfter { after, stall }) if done > after => {
+                                std::thread::sleep(stall);
+                            }
+                            _ => {}
+                        }
+                        if self.recorder.enabled() {
+                            self.recorder.add("cluster.worker.shards_computed", 1);
+                        }
+                        response_ok(encode_partial(&shard, &partial.mp, &partial.ip), None)
+                    }
+                    Err(e) => response_err(&e),
+                }
             }
-            Outcome::Reply(response_ok(encode_partial(&shard, &partial.mp, &partial.ip), None))
-        }
-        ClusterRequest::DropJob { job } => {
-            let dropped = state.jobs.lock().expect("jobs lock").remove(&job).is_some();
-            Outcome::Reply(response_ok(Value::obj(vec![("dropped", Value::Bool(dropped))]), None))
-        }
-        ClusterRequest::Shutdown => Outcome::Reply(response_ok(Value::str("shutting down"), None)),
+            ClusterRequest::DropJob { job } => {
+                let dropped = self.jobs.lock().expect("jobs lock").remove(&job).is_some();
+                response_ok(Value::obj(vec![("dropped", Value::Bool(dropped))]), None)
+            }
+            ClusterRequest::Shutdown => {
+                return Reply::SendThenStop(response_ok(Value::str("shutting down"), None))
+            }
+        };
+        Reply::Send(reply)
     }
-}
 
-fn write_line(writer: &mut TcpStream, response: Value) -> bool {
-    let mut encoded = response.encode();
-    encoded.push('\n');
-    writer.write_all(encoded.as_bytes()).is_ok() && writer.flush().is_ok()
+    fn stop(&self) {}
 }
 
 /// A worker running on a background thread of *this* process — the shape
@@ -307,30 +212,21 @@ impl LocalWorker {
         self.addr.to_string()
     }
 
-    /// Sends `shutdown` and joins the worker thread.
-    pub fn shutdown(mut self) {
-        let _ = send_shutdown(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    /// Sends `shutdown` and joins the worker thread, as dropping it does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for LocalWorker {
     fn drop(&mut self) {
+        let limits =
+            Timeouts::new().with_connect(Duration::from_secs(2)).with_read(Duration::from_secs(2));
+        let _ = Client::connect_with(self.addr, &limits).and_then(|mut c| c.shutdown());
         if let Some(handle) = self.handle.take() {
-            let _ = send_shutdown(self.addr);
             let _ = handle.join();
         }
     }
-}
-
-fn send_shutdown(addr: SocketAddr) -> ServeResult<()> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.write_all(b"{\"cmd\":\"shutdown\"}\n")?;
-    stream.flush()?;
-    Ok(())
 }
 
 /// Spawns `count` in-process workers with the same config.

@@ -1,13 +1,14 @@
 //! End-to-end distributed tests over real loopback TCP: bit-identity with
 //! the local executor across partition shapes and worker counts, survival
-//! of killed and hung workers via redispatch, and clean handshake
-//! rejection of incompatible workers.
+//! of killed and hung workers via redispatch, clean handshake rejection of
+//! incompatible workers, and a worker that stops while a peer is idle.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use valmod_cluster::coordinator::{run_distributed, CoordinatorConfig};
 use valmod_cluster::job::{run_local, JobSpec};
-use valmod_cluster::worker::{spawn_local_workers, Fault, LocalWorker, WorkerConfig};
+use valmod_cluster::worker::{spawn_local_workers, Fault, LocalWorker, Worker, WorkerConfig};
 use valmod_data::generators::{plant_motif, random_walk};
 use valmod_obs::{Registry, SharedRecorder};
 use valmod_serve::Timeouts;
@@ -184,8 +185,30 @@ fn unknown_job_answers_the_stable_error_kind() {
         matches!(err, valmod_serve::ServeError::UnknownSeries(_)),
         "unknown job must map to the unknown_series kind, got {err:?}"
     );
-    // Close our connection before shutdown: the worker joins its handler
-    // threads, and ours is parked reading this socket.
-    drop(client);
+    // Shutdown half-closes our still-open connection, so it cannot keep
+    // the worker running.
     worker.shutdown();
+    drop(client);
+}
+
+#[test]
+fn a_worker_stops_while_a_peer_is_idle() {
+    let worker =
+        Worker::bind("127.0.0.1:0", WorkerConfig::default(), SharedRecorder::noop()).unwrap();
+    let addr = worker.local_addr().unwrap();
+    let (tx, done) = mpsc::channel();
+    std::thread::spawn(move || tx.send(worker.run()));
+
+    // A coordinator-style connection: one round trip, then it sits idle
+    // with its handler parked in the read.
+    let mut idle = valmod_serve::Client::connect(addr).unwrap();
+    idle.ping().unwrap();
+    valmod_serve::Client::connect(addr).unwrap().shutdown().unwrap();
+
+    let stopped = done.recv_timeout(Duration::from_secs(5));
+    drop(idle);
+    assert!(
+        matches!(stopped, Ok(Ok(()))),
+        "run() must return within 5 s of shutdown while a peer is idle, got {stopped:?}"
+    );
 }

@@ -126,7 +126,7 @@ impl Default for EngineConfig {
             default_deadline: Duration::from_secs(30),
             data_dir: None,
             wal_compact_bytes: crate::persist::DEFAULT_WAL_COMPACT_BYTES,
-            max_line_bytes: crate::server::DEFAULT_MAX_LINE_BYTES,
+            max_line_bytes: crate::line_server::DEFAULT_MAX_LINE_BYTES,
         }
     }
 }

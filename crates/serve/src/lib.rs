@@ -28,8 +28,11 @@
 //!   concurrent queries; overload degrades to explicit `busy` errors;
 //! * [`protocol`] + [`value`] — a hand-rolled line-delimited JSON-ish
 //!   wire format (the build is fully offline: no serde, no tokio);
-//! * [`server::Server`] / [`client::Client`] — the `std::net` TCP front
-//!   end and its blocking client.
+//! * [`line_server::LineServer`] — the one `std::net` line-protocol
+//!   server (accept loop, bounded framing, send-stall limit, shutdown)
+//!   under both `valmod serve` and the cluster worker;
+//! * [`server::Server`] / [`client::Client`] — the engine as a line
+//!   service, and its blocking client.
 //!
 //! ## Quick example (in-process, no sockets)
 //!
@@ -66,6 +69,7 @@ pub mod client;
 pub mod engine;
 pub mod error;
 pub mod fragment;
+pub mod line_server;
 pub mod lru;
 pub mod persist;
 pub mod planner;
@@ -83,6 +87,9 @@ pub use engine::{
 };
 pub use error::{ServeError, ServeResult};
 pub use fragment::{FragmentCache, FragmentKey};
+pub use line_server::{
+    ConnectionCount, LineServer, LineService, Reply, DEFAULT_MAX_LINE_BYTES, SEND_STALL_LIMIT,
+};
 pub use lru::{ByteLru, LruStats, Weigh};
 pub use persist::{
     Fault, FaultHook, IoStep, Persistence, RecoveredSeries, Recovery, SnapshotMeta,
@@ -96,7 +103,7 @@ pub use response::{
     Ack, BodyShape, DiscordHit, DiscordsBody, MotifHit, MotifsBody, QueryReply, SaveAck, SetEntry,
     SetsBody, StatsReply,
 };
-pub use server::{read_bounded_line, ConnectionCount, LineRead, Server, DEFAULT_MAX_LINE_BYTES};
+pub use server::Server;
 pub use store::{stripe_of, SeriesSlot, SeriesStore, StoredSeries, DEFAULT_STRIPES};
 pub use value::Value;
 

@@ -1,372 +1,130 @@
-//! The std-only TCP front end: one line-delimited request/response pair at
-//! a time per connection, many concurrent connections, graceful shutdown.
+//! The `valmod serve` front end: the query engine as a
+//! [`LineService`] on the shared [`LineServer`] — one line-delimited
+//! request/response pair at a time per connection, many concurrent
+//! connections, graceful shutdown.
 //!
 //! A connection thread is cheap bookkeeping — all heavy work is bounded by
 //! the engine's worker pool, so a flood of connections degrades into
 //! `busy` responses, not into unbounded compute. The `shutdown` command
-//! answers `ok`, then stops the accept loop (a loopback self-connect
-//! unblocks the blocking `accept`), half-closes the read side of every
-//! open connection — a handler mid-request still writes its response, then
-//! sees EOF and exits — joins the handlers, and joins the engine's
-//! workers.
+//! runs the line server's shutdown sequence, whose stop hook shuts the
+//! engine down and joins its workers.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::Arc;
+
+use valmod_obs::SharedRecorder;
 
 use crate::engine::QueryEngine;
-use crate::error::{ServeError, ServeResult};
+use crate::error::ServeResult;
+use crate::line_server::{ConnectionCount, LineServer, LineService, Reply};
 use crate::protocol::{hello_result, response_err, response_ok, response_query, Request};
 use crate::response::{Ack, SaveAck};
 use crate::value::Value;
 
-/// Default cap on one request line. Large enough for a multi-million-sample
-/// `load`, small enough that a newline-free flood cannot exhaust memory.
-pub const DEFAULT_MAX_LINE_BYTES: usize = 64 << 20;
-
-/// A cloneable observer of how many connections are currently live; survives
-/// [`Server::run`] consuming the server, so tests can assert that fault
-/// scenarios do not leak handler threads.
-#[derive(Clone)]
-pub struct ConnectionCount(Arc<Mutex<HashMap<u64, TcpStream>>>);
-
-impl ConnectionCount {
-    /// Number of connections with a live handler right now.
-    pub fn live(&self) -> usize {
-        self.0.lock().expect("connections lock").len()
-    }
-}
-
 /// A bound-but-not-yet-running server.
-pub struct Server {
-    listener: TcpListener,
-    engine: Arc<QueryEngine>,
-    stop: Arc<AtomicBool>,
-    /// Read-half handles of live connections, so shutdown can unblock
-    /// handlers parked in the line reader.
-    connections: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    /// Requests longer than this are answered with a protocol error and the
-    /// connection is closed without buffering the rest of the line.
-    max_line_bytes: usize,
-}
+pub struct Server(LineServer<QueryEngine>);
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port) around an engine.
     /// The per-request line cap comes from the engine's
     /// [`crate::engine::EngineConfig::max_line_bytes`].
     pub fn bind(addr: impl ToSocketAddrs, engine: QueryEngine) -> ServeResult<Server> {
-        let listener = TcpListener::bind(addr)?;
         let max_line_bytes = engine.config().max_line_bytes;
-        Ok(Server {
-            listener,
-            engine: Arc::new(engine),
-            stop: Arc::new(AtomicBool::new(false)),
-            connections: Arc::new(Mutex::new(HashMap::new())),
-            max_line_bytes,
-        })
-    }
-
-    /// Overrides the per-request line cap (builder style). The fault harness
-    /// uses a small cap to exercise the overflow path cheaply.
-    pub fn with_max_line_bytes(mut self, bytes: usize) -> Self {
-        self.max_line_bytes = bytes.max(1);
-        self
+        let net = SharedRecorder::from(engine.registry().clone());
+        Ok(Server(LineServer::bind(addr, engine, max_line_bytes, net)?))
     }
 
     /// A handle that reports the number of live connections after `run`
     /// consumes the server.
     pub fn connection_count(&self) -> ConnectionCount {
-        ConnectionCount(Arc::clone(&self.connections))
+        self.0.connection_count()
     }
 
     /// The bound address (needed when binding to port 0).
     pub fn local_addr(&self) -> ServeResult<SocketAddr> {
-        Ok(self.listener.local_addr()?)
+        self.0.local_addr()
     }
 
     /// Shared handle to the engine (for embedding / inspection).
     pub fn engine(&self) -> Arc<QueryEngine> {
-        Arc::clone(&self.engine)
+        Arc::clone(self.0.service())
     }
 
     /// Serves until a `shutdown` command arrives, then drains and returns.
     pub fn run(self) -> ServeResult<()> {
-        let addr = self.local_addr()?;
-        let next_id = AtomicU64::new(0);
-        let mut handlers = Vec::new();
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    return Err(ServeError::Io(e));
-                }
-            };
-            if self.stop.load(Ordering::SeqCst) {
-                break; // the self-connect (or a late client) during shutdown
-            }
-            let id = next_id.fetch_add(1, Ordering::Relaxed);
-            if let Ok(clone) = stream.try_clone() {
-                let mut conns = self.connections.lock().expect("connections lock");
-                conns.insert(id, clone);
-                self.engine.registry().gauge("serve.conn.active").set(conns.len() as f64);
-            }
-            let engine = Arc::clone(&self.engine);
-            let stop = Arc::clone(&self.stop);
-            let connections = Arc::clone(&self.connections);
-            let max_line = self.max_line_bytes;
-            handlers.push(std::thread::spawn(move || {
-                handle_connection(stream, Arc::clone(&engine), &stop, addr, max_line);
-                let mut conns = connections.lock().expect("connections lock");
-                conns.remove(&id);
-                engine.registry().gauge("serve.conn.active").set(conns.len() as f64);
-            }));
-            handlers.retain(|h| !h.is_finished());
-        }
-        // Half-close every live connection: a handler mid-dispatch still
-        // delivers its response, then reads EOF and exits.
-        for (_, conn) in self.connections.lock().expect("connections lock").iter() {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        self.engine.shutdown();
-        self.engine.join();
-        Ok(())
+        self.0.run()
     }
 }
 
-/// One bounded attempt to read a request line.
-pub enum LineRead {
-    /// Clean EOF before any bytes of a new line.
-    Eof,
-    /// A complete line (newline stripped by the caller's trim).
-    Line(String),
-    /// The line exceeded the cap; the rest was not buffered.
-    TooLong,
-    /// The line was not valid UTF-8.
-    NotUtf8,
-}
-
-/// Reads one `\n`-terminated line, buffering at most `max` bytes. Unlike
-/// `BufReader::read_line`, a hostile client sending an endless newline-free
-/// stream costs O(`max`) memory, not O(stream). Public so other line-protocol
-/// servers (the cluster worker) share the same bounded framing.
-pub fn read_bounded_line(reader: &mut impl BufRead, max: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let (used, terminated) = {
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                if buf.is_empty() {
-                    return Ok(LineRead::Eof);
-                }
-                (0, true) // EOF closes a final unterminated line
-            } else {
-                match chunk.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        buf.extend_from_slice(&chunk[..pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        buf.extend_from_slice(chunk);
-                        (chunk.len(), false)
-                    }
-                }
-            }
-        };
-        reader.consume(used);
-        if buf.len() > max {
-            return Ok(LineRead::TooLong);
-        }
-        if terminated {
-            break;
-        }
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(LineRead::Line(s)),
-        Err(_) => Ok(LineRead::NotUtf8),
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    engine: Arc<QueryEngine>,
-    stop: &AtomicBool,
-    server_addr: SocketAddr,
-    max_line_bytes: usize,
-) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_bounded_line(&mut reader, max_line_bytes) {
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Eof) | Err(_) => return, // EOF or socket error
-            Ok(LineRead::TooLong) => {
-                let err = ServeError::Protocol(format!(
-                    "request line exceeds the {max_line_bytes}-byte limit"
-                ));
-                write_response(&mut writer, &engine, response_err(&err));
-                return; // the stream is mid-line: resync is impossible
-            }
-            Ok(LineRead::NotUtf8) => {
-                let err = ServeError::Protocol("request line is not valid UTF-8".into());
-                write_response(&mut writer, &engine, response_err(&err));
-                return;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        engine.registry().counter("serve.net.bytes_in").add(line.len() as u64);
-        let (response, initiate_shutdown) = dispatch(&engine, &line);
-        if !write_response(&mut writer, &engine, response) {
-            return;
-        }
-        if initiate_shutdown {
-            // Flip the stop flag first, then unblock the accept loop.
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(server_addr);
-            return;
-        }
-    }
-}
-
-/// Writes one encoded response line, updating the byte counter; returns
-/// whether the socket is still usable.
-fn write_response(writer: &mut TcpStream, engine: &QueryEngine, response: Value) -> bool {
-    let mut encoded = response.encode();
-    encoded.push('\n');
-    engine.registry().counter("serve.net.bytes_out").add(encoded.len() as u64);
-    writer.write_all(encoded.as_bytes()).is_ok() && writer.flush().is_ok()
-}
-
-/// Handles one request line; the bool asks the caller to begin shutdown.
 /// Each successfully parsed command records its wall-clock latency into a
 /// per-command histogram (`serve.cmd.<cmd>_us`).
-fn dispatch(engine: &QueryEngine, line: &str) -> (Value, bool) {
-    let request = match Value::parse(line).and_then(|v| Request::from_value(&v)) {
-        Ok(req) => req,
-        Err(e) => return (response_err(&e), false),
-    };
-    let cmd = request.cmd_name();
-    let started = std::time::Instant::now();
-    let outcome = execute(engine, request);
-    engine
-        .registry()
-        .histogram(&format!("serve.cmd.{cmd}_us"))
-        .record(started.elapsed().as_micros() as f64);
-    outcome
+impl LineService for QueryEngine {
+    type Conn = ();
+
+    fn serve(&self, _: &mut (), request: &Value) -> Reply {
+        let request = match Request::from_value(request) {
+            Ok(req) => req,
+            Err(e) => return Reply::Send(response_err(&e)),
+        };
+        let cmd = request.cmd_name();
+        let started = std::time::Instant::now();
+        let reply = execute(self, request);
+        self.registry()
+            .histogram(&format!("serve.cmd.{cmd}_us"))
+            .record(started.elapsed().as_micros() as f64);
+        reply
+    }
+
+    fn stop(&self) {
+        self.shutdown();
+        self.join();
+    }
 }
 
 /// Executes one parsed request against the engine.
-fn execute(engine: &QueryEngine, request: Request) -> (Value, bool) {
-    match request {
+fn execute(engine: &QueryEngine, request: Request) -> Reply {
+    let reply = match request {
         Request::Load { name, values, hot, replace } => {
             let policy = valmod_mp::ExclusionPolicy::HALF;
-            (
-                result_response(
-                    engine
-                        .load(&name, values, &hot, policy, replace)
-                        .map(|(version, len)| Ack { name, version, len }.to_value()),
-                ),
-                false,
-            )
-        }
-        Request::Append { name, values } => (
             result_response(
                 engine
-                    .append(&name, &values)
+                    .load(&name, values, &hot, policy, replace)
                     .map(|(version, len)| Ack { name, version, len }.to_value()),
-            ),
-            false,
+            )
+        }
+        Request::Append { name, values } => result_response(
+            engine
+                .append(&name, &values)
+                .map(|(version, len)| Ack { name, version, len }.to_value()),
         ),
         Request::Query(spec) => match engine.query(spec) {
-            Ok(outcome) => (
-                response_query(
-                    outcome.payload.as_ref().clone(),
-                    Some(outcome.cached),
-                    outcome.coalesced,
-                ),
-                false,
+            Ok(outcome) => response_query(
+                outcome.payload.as_ref().clone(),
+                Some(outcome.cached),
+                outcome.coalesced,
             ),
-            Err(e) => (response_err(&e), false),
+            Err(e) => response_err(&e),
         },
         Request::Sleep { ms, deadline } => match engine.sleep(ms, deadline) {
-            Ok(outcome) => {
-                (response_ok(outcome.payload.as_ref().clone(), Some(outcome.cached)), false)
-            }
-            Err(e) => (response_err(&e), false),
+            Ok(outcome) => response_ok(outcome.payload.as_ref().clone(), Some(outcome.cached)),
+            Err(e) => response_err(&e),
         },
-        Request::Stats => (response_ok(engine.stats(), None), false),
-        Request::Ping => (response_ok(Value::str("pong"), None), false),
-        Request::Save => (
-            result_response(engine.persist().map(|snapshots| SaveAck { snapshots }.to_value())),
-            false,
-        ),
-        Request::Shutdown => (response_ok(Value::str("shutting down"), None), true),
-        Request::Hello { .. } => (response_ok(hello_result(&["serve"]), None), false),
-    }
+        Request::Stats => response_ok(engine.stats(), None),
+        Request::Ping => response_ok(Value::str("pong"), None),
+        Request::Save => {
+            result_response(engine.persist().map(|snapshots| SaveAck { snapshots }.to_value()))
+        }
+        Request::Shutdown => {
+            return Reply::SendThenStop(response_ok(Value::str("shutting down"), None))
+        }
+        Request::Hello { .. } => response_ok(hello_result(&["serve"]), None),
+    };
+    Reply::Send(reply)
 }
 
 fn result_response(result: ServeResult<Value>) -> Value {
     match result {
         Ok(v) => response_ok(v, None),
         Err(e) => response_err(&e),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Cursor;
-
-    fn read_all(input: &[u8], max: usize) -> Vec<String> {
-        let mut reader = Cursor::new(input.to_vec());
-        let mut out = Vec::new();
-        loop {
-            match read_bounded_line(&mut reader, max).unwrap() {
-                LineRead::Eof => return out,
-                LineRead::Line(l) => out.push(l),
-                LineRead::TooLong => {
-                    out.push("<too long>".into());
-                    return out;
-                }
-                LineRead::NotUtf8 => {
-                    out.push("<not utf-8>".into());
-                    return out;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_reader_splits_lines_and_handles_final_fragment() {
-        assert_eq!(read_all(b"a\nbb\nccc", 100), vec!["a", "bb", "ccc"]);
-        assert_eq!(read_all(b"", 100), Vec::<String>::new());
-        assert_eq!(read_all(b"\n\n", 100), vec!["", ""]);
-    }
-
-    #[test]
-    fn bounded_reader_caps_newline_free_floods() {
-        let flood = vec![b'x'; 1 << 16];
-        assert_eq!(read_all(&flood, 1024), vec!["<too long>"]);
-        // A line exactly at the cap still passes.
-        let mut exact = vec![b'y'; 1024];
-        exact.push(b'\n');
-        assert_eq!(read_all(&exact, 1024), vec!["y".repeat(1024)]);
-    }
-
-    #[test]
-    fn bounded_reader_flags_invalid_utf8() {
-        assert_eq!(read_all(b"\xff\xfe\n", 100), vec!["<not utf-8>"]);
     }
 }
